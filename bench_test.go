@@ -520,3 +520,34 @@ func BenchmarkE18BidWatch(b *testing.B) {
 		b.ReportMetric(float64(st.Incremental)/float64(st.Commits)*100, "incr%")
 	}
 }
+
+// xmlItemsSink keeps BenchmarkXMLItems' results alive.
+var xmlItemsSink []string
+
+// BenchmarkXMLItems serializes the results of the three child-axis
+// queries of the benchmark's bulk_result workload (whole item, person
+// and open_auction subtrees of Auction(8)). Run it with -benchmem:
+// allocations per result stay constant however large the result is.
+func BenchmarkXMLItems(b *testing.B) {
+	db := xqp.FromStore(xmark.StoreAuction(8))
+	var results []*xqp.Result
+	var bytes int64
+	for _, src := range []string{`/site/regions/*/item`, `/site/people/person`, `/site/open_auctions/open_auction`} {
+		res, err := db.Query(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		results = append(results, res)
+		for _, it := range res.XMLItems() {
+			bytes += int64(len(it))
+		}
+	}
+	b.SetBytes(bytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, res := range results {
+			xmlItemsSink = res.XMLItems()
+		}
+	}
+}

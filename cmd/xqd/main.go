@@ -25,7 +25,8 @@
 //	GET  /debug/vars                                         → expvar (incl. "xqp")
 //
 // Saturation maps to 503, unknown documents to 404, deadline expiry to
-// 504, compile errors to 400, and unexpected execution failures to 500.
+// 504, compile errors to 400, request bodies over 16 MiB to 413, and
+// unexpected execution failures to 500.
 //
 // On SIGINT/SIGTERM the daemon stops accepting connections, closes
 // watch streams, and drains in-flight requests for up to -drain before
@@ -208,7 +209,19 @@ func (f *shardFlags) Set(s string) error {
 }
 
 // maxQueryBody bounds request bodies (queries and uploaded documents).
+// Bodies are read through http.MaxBytesReader, so a longer one fails
+// with 413 instead of being silently cut short.
 const maxQueryBody = 16 << 20
+
+// bodyStatus maps a failure to read or parse a request body: 413 for a
+// body over maxQueryBody, otherwise the client's 400.
+func bodyStatus(err error) int {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
 
 // server is the HTTP API over an engine plus its continuous-query
 // watcher. It implements http.Handler.
@@ -391,9 +404,9 @@ func handleQuery(eng *xqp.Engine, w http.ResponseWriter, r *http.Request) {
 			req.Parallel = n
 		}
 	case http.MethodPost:
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxQueryBody))
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxQueryBody))
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "reading body: "+err.Error())
+			httpError(w, bodyStatus(err), "reading body: "+err.Error())
 			return
 		}
 		if err := json.Unmarshal(body, &req); err != nil {
@@ -488,8 +501,8 @@ func (s *server) handleDoc(w http.ResponseWriter, r *http.Request) {
 	}
 	switch r.Method {
 	case http.MethodPut:
-		if err := s.eng.Register(name, io.LimitReader(r.Body, maxQueryBody)); err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
+		if err := s.eng.Register(name, http.MaxBytesReader(w, r.Body, maxQueryBody)); err != nil {
+			httpError(w, bodyStatus(err), err.Error())
 			return
 		}
 		gen, err := s.eng.Generation(name)

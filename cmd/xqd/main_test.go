@@ -132,6 +132,44 @@ func TestStatusFor(t *testing.T) {
 	}
 }
 
+// TestOversizedBodies413: a body one byte over maxQueryBody is refused
+// with 413, not cut to the limit and served. Each body is valid up to
+// the limit (a request followed by whitespace), so a silent truncation
+// would answer 200.
+func TestOversizedBodies413(t *testing.T) {
+	pad := func(prefix string) string {
+		return prefix + strings.Repeat(" ", maxQueryBody+1-len(prefix))
+	}
+	query := pad(`{"doc":"bib","query":"//book/title"}`)
+	doc := pad(`<bib/>`)
+	single := newTestServer(t)
+	router, _ := newRouterFixture(t, map[string]string{"bib": bibXML})
+	for _, srv := range []struct {
+		name string
+		url  string
+	}{{"single", single.URL}, {"router", router.URL}} {
+		for _, c := range []struct {
+			method, path, body string
+		}{
+			{http.MethodPost, "/query", query},
+			{http.MethodPut, "/docs/big", doc},
+			{http.MethodPost, "/docs/bib/append", pad(`<book/>`)},
+			{http.MethodPost, "/docs/bib/apply", pad(`[]`)},
+		} {
+			req, _ := http.NewRequest(c.method, srv.url+c.path, strings.NewReader(c.body))
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatalf("%s %s %s: %v", srv.name, c.method, c.path, err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusRequestEntityTooLarge {
+				t.Errorf("%s %s %s with %d bytes: status %d, want 413", srv.name, c.method, c.path, len(c.body), resp.StatusCode)
+			}
+		}
+	}
+}
+
 func TestDocsLifecycle(t *testing.T) {
 	srv := newTestServer(t)
 	var docs []xqp.DocInfo

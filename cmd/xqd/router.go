@@ -142,9 +142,9 @@ func (s *routerServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		req.Batched = boolParam(q.Get("batched"))
 		req.Tenant = q.Get("tenant")
 	case http.MethodPost:
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxQueryBody))
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxQueryBody))
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "reading body: "+err.Error())
+			httpError(w, bodyStatus(err), "reading body: "+err.Error())
 			return
 		}
 		if err := json.Unmarshal(body, &req); err != nil {
@@ -223,9 +223,9 @@ func (s *routerServer) handleDoc(w http.ResponseWriter, r *http.Request) {
 	}
 	switch r.Method {
 	case http.MethodPut:
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxQueryBody))
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxQueryBody))
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "reading body: "+err.Error())
+			httpError(w, bodyStatus(err), "reading body: "+err.Error())
 			return
 		}
 		if err := s.rt.Register(name, string(body)); err != nil {
@@ -253,9 +253,9 @@ func (s *routerServer) handleDocMutation(w http.ResponseWriter, r *http.Request,
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxQueryBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxQueryBody))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "reading body: "+err.Error())
+		httpError(w, bodyStatus(err), "reading body: "+err.Error())
 		return
 	}
 	var res *xqp.ApplyResult

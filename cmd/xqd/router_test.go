@@ -321,9 +321,20 @@ func TestTenantQuota429(t *testing.T) {
 		done <- resp.StatusCode
 	}()
 
-	// Probe with quick tenant-A queries until one trips the quota; the
-	// slow query above holds A's only slot while it runs.
+	// Probe only once the slow query executes, so that it holds A's only
+	// slot (the tenant slot is taken before the worker slot) rather than
+	// being refused itself because a probe held the slot.
 	deadline := time.After(10 * time.Second)
+	for eng.Stats().InFlight == 0 {
+		select {
+		case code := <-done:
+			t.Fatalf("slow query finished with %d before it was seen executing", code)
+		case <-deadline:
+			t.Fatal("slow query never started executing")
+		case <-time.After(time.Millisecond):
+		}
+	}
+	// Probe with quick tenant-A queries until one trips the quota.
 	got429 := false
 probe:
 	for {

@@ -33,15 +33,18 @@ func (s *server) handleDocMutation(w http.ResponseWriter, r *http.Request, name,
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	body := io.LimitReader(r.Body, maxQueryBody)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxQueryBody))
+	if err != nil {
+		httpError(w, bodyStatus(err), "reading body: "+err.Error())
+		return
+	}
 	var res *xqp.ApplyResult
-	var err error
 	switch action {
 	case "append":
-		res, err = s.eng.Append(name, body)
+		res, err = s.eng.AppendString(name, string(body))
 	case "apply":
 		var muts []xqp.Mutation
-		if derr := json.NewDecoder(body).Decode(&muts); derr != nil {
+		if derr := json.Unmarshal(body, &muts); derr != nil {
 			httpError(w, http.StatusBadRequest, "bad mutation JSON: "+derr.Error())
 			return
 		}

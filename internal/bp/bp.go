@@ -181,6 +181,11 @@ func (s *Sequence) NodeCount() int { return s.bv.Ones() }
 // IsOpen reports whether position i holds an opening parenthesis.
 func (s *Sequence) IsOpen(i int) bool { return s.bv.Get(i) }
 
+// Words exposes the packed parentheses (bit i of the sequence is bit i%64
+// of word i/64, 1 = open) for callers that scan a range sequentially
+// instead of asking IsOpen position by position. Do not modify.
+func (s *Sequence) Words() []uint64 { return s.bv.Words() }
+
 // Excess returns E(i): the number of opens minus closes in positions [0, i).
 // For an opening parenthesis at i, Excess(i) is the node's depth (root = 0).
 func (s *Sequence) Excess(i int) int {

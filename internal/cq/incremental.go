@@ -1,7 +1,6 @@
 package cq
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -414,7 +413,7 @@ func (p *incPlan) step(rec engine.MutationRecord, items []item, maxCand int, doc
 		if o, ok := dropped[r]; ok {
 			orig = o
 		}
-		fresh[i] = item{ref: r, xml: nodeXML(st, r), orig: orig}
+		fresh[i] = item{ref: r, xml: st.XMLString(r), orig: orig}
 	}
 	return mergeByRef(kept, fresh), true
 }
@@ -484,17 +483,6 @@ func assignOrigins(old, next []item) {
 	}
 }
 
-// nodeXML serializes one node the same way the xqp facade's
-// Result.XMLItems does: attributes as name="value", everything else as
-// subtree XML. Byte-identical serialization is what the differential
-// tests compare against.
-func nodeXML(st *storage.Store, r storage.NodeRef) string {
-	if st.Kind(r) == xmldoc.KindAttribute {
-		return fmt.Sprintf(`%s="%s"`, st.Name(r), st.Content(r))
-	}
-	return st.XMLString(r)
-}
-
 // fullEval runs the compiled plan from scratch against a snapshot and
 // serializes the result. Node items of the watched store carry their
 // ref so later deltas can track them; atoms and constructed nodes do
@@ -525,7 +513,7 @@ func fullEval(doc string, st *storage.Store, plan core.Op, strat exec.Strategy, 
 	items := make([]item, len(seq))
 	for i, it := range seq {
 		if n, ok := it.(value.Node); ok && n.Store == st {
-			items[i] = item{ref: n.Ref, xml: nodeXML(st, n.Ref), orig: -1}
+			items[i] = item{ref: n.Ref, xml: st.XMLString(n.Ref), orig: -1}
 		} else {
 			items[i] = item{ref: -1, xml: it.String(), orig: -1}
 		}

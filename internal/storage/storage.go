@@ -18,6 +18,15 @@
 // node's interval encoding (start, end), and depth equals parenthesis
 // excess, which is what the join-based operators consume.
 //
+// # Serialization
+//
+// Results leave the store through AppendXML (and XMLString, its string
+// form): one forward scan over the subtree's parenthesis interval that
+// reads tags, kinds and content by pre-order number and writes XML
+// directly, with no DOM copy and no per-node FindClose or rank. ToDoc and
+// SubtreeDoc, which rebuild an xmldoc tree, are kept as the reference the
+// serializer is tested against and as the input of indented printing.
+//
 // An optional Accountant counts distinct storage pages touched during
 // navigation, modeling the I/O cost that the paper's experiments measure
 // (experiment E9).
@@ -568,8 +577,8 @@ func (s *Store) Scan(n NodeRef, f func(NodeRef, int) bool) {
 	}
 }
 
-// ToDoc materializes the store back into an xmldoc tree (for serialization
-// and differential testing).
+// ToDoc materializes the store back into an xmldoc tree (for differential
+// testing and indented printing).
 func (s *Store) ToDoc() *xmldoc.Document {
 	b := xmldoc.NewBuilder()
 	var emit func(n NodeRef)
@@ -602,7 +611,8 @@ func (s *Store) ToDoc() *xmldoc.Document {
 }
 
 // SubtreeDoc materializes the subtree rooted at n as a standalone
-// xmldoc tree (for serialization and structural comparison).
+// xmldoc tree: the reference AppendXML is tested against, and the input
+// of indented printing. Serialization does not go through it.
 func (s *Store) SubtreeDoc(n NodeRef) *xmldoc.Document {
 	if n == 0 {
 		return s.ToDoc()
@@ -613,10 +623,9 @@ func (s *Store) SubtreeDoc(n NodeRef) *xmldoc.Document {
 	return b.Build()
 }
 
-// XMLString serializes the subtree at n.
+// XMLString serializes the subtree at n; see AppendXML.
 func (s *Store) XMLString(n NodeRef) string {
-	d := s.SubtreeDoc(n)
-	return d.XMLString(d.Root())
+	return string(s.AppendXML(nil, n))
 }
 
 type subtreeCopier struct {

@@ -536,33 +536,48 @@ func (r *Result) Strings() []string {
 	return out
 }
 
+// xmlBufPool recycles the byte buffers results are serialized into, so
+// that once a buffer has grown a result costs a constant number of
+// allocations whatever its size.
+var xmlBufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledXMLBuf keeps the buffer of one exceptionally large result
+// from staying pooled.
+const maxPooledXMLBuf = 1 << 20
+
+func putXMLBuf(p *[]byte, buf []byte) {
+	if cap(buf) <= maxPooledXMLBuf {
+		*p = buf[:0]
+		xmlBufPool.Put(p)
+	}
+}
+
+// appendItemXML serializes one item: a node as its XML subtree (an
+// attribute as name="value"), an atomic value as its string.
+func appendItemXML(dst []byte, it value.Item) []byte {
+	if n, ok := it.(value.Node); ok {
+		return n.Store.AppendXML(dst, n.Ref)
+	}
+	return append(dst, it.String()...)
+}
+
 // XML serializes the result: node items as XML subtrees, atomic items as
 // text, separated by spaces between adjacent atomics.
 func (r *Result) XML() string {
-	var b strings.Builder
+	p := xmlBufPool.Get().(*[]byte)
+	buf := *p
 	prevAtomic := false
 	for _, it := range r.Seq {
-		if n, ok := it.(value.Node); ok {
-			b.WriteString(nodeXML(n))
-			prevAtomic = false
-			continue
+		_, isNode := it.(value.Node)
+		if !isNode && prevAtomic {
+			buf = append(buf, ' ')
 		}
-		if prevAtomic {
-			b.WriteByte(' ')
-		}
-		b.WriteString(it.String())
-		prevAtomic = true
+		buf = appendItemXML(buf, it)
+		prevAtomic = !isNode
 	}
-	return b.String()
-}
-
-func nodeXML(n value.Node) string {
-	switch n.Store.Kind(n.Ref) {
-	case xmldoc.KindAttribute:
-		return fmt.Sprintf(`%s="%s"`, n.Store.Name(n.Ref), n.Store.Content(n.Ref))
-	default:
-		return n.Store.XMLString(n.Ref)
-	}
+	s := string(buf)
+	putXMLBuf(p, buf)
+	return s
 }
 
 // Items exposes the raw item sequence.
@@ -570,14 +585,23 @@ func (r *Result) Items() value.Sequence { return r.Seq }
 
 // XMLItems serializes each result item separately: node items as XML
 // subtrees, atomic items as text (one string per item, for API servers).
+// All items are serialized into one buffer and converted to a string
+// once; the items are substrings of it.
 func (r *Result) XMLItems() []string {
-	out := make([]string, len(r.Seq))
+	p := xmlBufPool.Get().(*[]byte)
+	buf := *p
+	ends := make([]int, len(r.Seq))
 	for i, it := range r.Seq {
-		if n, ok := it.(value.Node); ok {
-			out[i] = nodeXML(n)
-		} else {
-			out[i] = it.String()
-		}
+		buf = appendItemXML(buf, it)
+		ends[i] = len(buf)
+	}
+	all := string(buf)
+	putXMLBuf(p, buf)
+	out := make([]string, len(r.Seq))
+	start := 0
+	for i, end := range ends {
+		out[i] = all[start:end]
+		start = end
 	}
 	return out
 }
@@ -594,7 +618,7 @@ func (r *Result) PrettyXML() string {
 			continue
 		}
 		if n.Store.Kind(n.Ref) == xmldoc.KindAttribute {
-			b.WriteString(nodeXML(n))
+			b.WriteString(n.Store.XMLString(n.Ref))
 			b.WriteByte('\n')
 			continue
 		}
