@@ -551,3 +551,30 @@ func BenchmarkXMLItems(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkApply commits the bid_stream workload's batch through
+// Engine.Apply: insert one <bidder> into an open auction and delete that
+// auction's first bidder, so the document keeps its size. Run it with
+// -benchmem: time and allocations per commit should follow the edit,
+// not the document, from Auction(4) to Auction(16).
+func BenchmarkApply(b *testing.B) {
+	const bid = `<bidder><date>01/02/2004</date><personref person="person1"/><increase>3.00</increase></bidder>`
+	for _, scale := range []int{4, 16} {
+		b.Run(fmt.Sprintf("auction-%d", scale), func(b *testing.B) {
+			eng := xqp.NewEngine(xqp.EngineConfig{})
+			eng.RegisterStore("auction", xmark.StoreAuction(scale))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				auction := fmt.Sprintf("/open_auctions/open_auction[%d]", 1+i%(12*scale))
+				muts := []xqp.Mutation{
+					{Op: xqp.MutationInsert, Path: auction, XML: bid},
+					{Op: xqp.MutationDelete, Path: auction + "/bidder"},
+				}
+				if _, err := eng.Apply("auction", muts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -196,6 +196,7 @@ func writeWatchPrometheus(w io.Writer, s xqp.WatchStats) {
 	gauge("xqp_cq_subscribers", "Attached watch subscribers.", int64(s.Subscribers))
 	counter("xqp_cq_commits_total", "Commits processed across all continuous queries.", s.Commits)
 	counter("xqp_cq_incremental_total", "Commits served by incremental dirty-region re-evaluation.", s.Incremental)
+	counter("xqp_cq_rematch_full_total", "Incremental commits whose re-match ran the full plan filtered to the dirty candidates.", s.RematchFull)
 	fmt.Fprintf(w, "# HELP xqp_cq_full_total Full re-evaluations by fallback reason.\n# TYPE xqp_cq_full_total counter\n")
 	reasons := make([]string, 0, len(s.FullByReason))
 	for reason := range s.FullByReason {

@@ -240,6 +240,11 @@ func TestWatchMetricsAndStats(t *testing.T) {
 	if ws.Queries != 1 || ws.Commits < 1 {
 		t.Fatalf("watch stats = %+v", ws)
 	}
+	var raw map[string]any
+	getJSON(t, srv.URL+"/watch/stats", http.StatusOK, &raw)
+	if _, ok := raw["rematch_full"]; !ok {
+		t.Errorf("/watch/stats lacks rematch_full: %v", raw)
+	}
 
 	mresp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
@@ -256,6 +261,7 @@ func TestWatchMetricsAndStats(t *testing.T) {
 		"xqp_cq_queries 1",
 		"xqp_cq_commits_total 1",
 		"xqp_cq_incremental_total 1",
+		"xqp_cq_rematch_full_total ",
 		"xqp_cq_full_total{reason=\"initial\"} 1",
 	} {
 		if !strings.Contains(body, want) {

@@ -54,6 +54,41 @@ func (b *Builder) AppendN(bit bool, n int) {
 	}
 }
 
+// AppendRange adds bits [from, from+n) of the packed words src (LSB-first,
+// as returned by Vector.Words) a word at a time with a shift, so copying
+// a run of bits costs one or two word operations per 64 bits.
+func (b *Builder) AppendRange(src []uint64, from, n int) {
+	for n > 0 {
+		w, off := from/wordBits, uint(from%wordBits)
+		chunk := src[w] >> off
+		if off != 0 && w+1 < len(src) {
+			chunk |= src[w+1] << (wordBits - off)
+		}
+		k := wordBits
+		if n < k {
+			k = n
+			chunk &= 1<<uint(k) - 1
+		}
+		b.appendWord(chunk, k)
+		from += k
+		n -= k
+	}
+}
+
+// appendWord adds the k low bits of x, whose higher bits must be zero.
+func (b *Builder) appendWord(x uint64, k int) {
+	off := uint(b.n % wordBits)
+	if off == 0 {
+		b.words = append(b.words, x)
+	} else {
+		b.words[len(b.words)-1] |= x << off
+		if int(off)+k > wordBits {
+			b.words = append(b.words, x>>(wordBits-off))
+		}
+	}
+	b.n += k
+}
+
 // Len reports the number of bits appended so far.
 func (b *Builder) Len() int { return b.n }
 

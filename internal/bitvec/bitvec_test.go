@@ -216,3 +216,47 @@ func BenchmarkSelect1(b *testing.B) {
 		v.Select1(i%v.Ones() + 1)
 	}
 }
+
+// TestAppendRange splices random runs of bits from random vectors at
+// random builder offsets and compares with appending bit by bit.
+func TestAppendRange(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for iter := 0; iter < 300; iter++ {
+		var want []bool
+		b := NewBuilder(0)
+		for piece := 0; piece < 1+r.Intn(5); piece++ {
+			src := make([]bool, r.Intn(300))
+			for i := range src {
+				src[i] = r.Intn(2) == 0
+			}
+			sv := FromBits(src)
+			from := 0
+			if len(src) > 0 {
+				from = r.Intn(len(src) + 1)
+			}
+			n := r.Intn(len(src) - from + 1)
+			b.AppendRange(sv.Words(), from, n)
+			want = append(want, src[from:from+n]...)
+			if bit := r.Intn(3); bit < 2 { // interleave single-bit appends
+				b.Append(bit == 1)
+				want = append(want, bit == 1)
+			}
+		}
+		v := b.Build()
+		if v.Len() != len(want) {
+			t.Fatalf("iter %d: Len = %d, want %d", iter, v.Len(), len(want))
+		}
+		ones := 0
+		for i, bit := range want {
+			if v.Get(i) != bit {
+				t.Fatalf("iter %d: bit %d = %v, want %v", iter, i, v.Get(i), bit)
+			}
+			if bit {
+				ones++
+			}
+		}
+		if v.Ones() != ones {
+			t.Fatalf("iter %d: Ones = %d, want %d (stray bits past the end)", iter, v.Ones(), ones)
+		}
+	}
+}

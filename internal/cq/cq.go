@@ -384,6 +384,7 @@ func (q *query) processCommit(qc queuedCommit, met *cqMetrics, cfg Config, rm *r
 	// Incremental path: walk the commit's mutation records, remapping
 	// retained refs and re-matching only dirty regions.
 	var next []item
+	fullRematches := rm.full
 	if fb == fbNone {
 		maxCand := int(q.maxFrac * float64(ev.Store.NodeCount()))
 		state := withOrigins(q.items)
@@ -405,6 +406,9 @@ func (q *query) processCommit(qc queuedCommit, met *cqMetrics, cfg Config, rm *r
 	if fb == fbNone {
 		removed, added = diffByOrig(q.items, next)
 		met.incRuns.Add(1)
+		if rm.full > fullRematches {
+			met.rematchFull.Add(1)
+		}
 	} else {
 		full, err := fullEval(q.doc, ev.Store, q.plan, q.strategy, rm)
 		if err != nil {
@@ -675,6 +679,7 @@ func (q *query) ringSinceLocked(since uint64) ([]Delta, bool) {
 type cqMetrics struct {
 	commits        atomic.Int64
 	incRuns        atomic.Int64
+	rematchFull    atomic.Int64
 	fullRuns       atomic.Int64
 	fullBy         [fbCount]atomic.Int64
 	deltas         atomic.Int64
@@ -695,6 +700,11 @@ type Stats struct {
 	Commits     int64 `json:"commits"`
 	Incremental int64 `json:"incremental"`
 	FullRuns    int64 `json:"full_runs"`
+	// RematchFull counts the incremental commits whose dirty-region
+	// re-match the cost model sent to a full evaluation of the plan,
+	// filtered to the candidates: work proportional to the document
+	// inside a commit that Incremental still counts.
+	RematchFull int64 `json:"rematch_full"`
 	// FullByReason tallies full re-evaluations by fallback reason.
 	FullByReason map[string]int64 `json:"full_by_reason,omitempty"`
 	// DeltasDelivered counts deltas handed to subscribers; DeltaItems
@@ -714,6 +724,7 @@ func (r *Registry) Stats() Stats {
 	s := Stats{
 		Commits:            r.met.commits.Load(),
 		Incremental:        r.met.incRuns.Load(),
+		RematchFull:        r.met.rematchFull.Load(),
 		FullRuns:           r.met.fullRuns.Load(),
 		DeltasDelivered:    r.met.deltas.Load(),
 		DeltaItems:         r.met.deltaItems.Load(),

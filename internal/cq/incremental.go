@@ -219,6 +219,12 @@ type rematcher struct {
 	st    *storage.Store
 	model *cost.Model
 	cal   *calibrate.Calibrator
+	// work accumulates the navigational work of the region-restricted
+	// walks run; full counts the re-matches that ran the whole plan
+	// filtered to the candidates. The rematcher serves one commit on the
+	// registry's single worker, so neither needs synchronizing.
+	work tally.Counters
+	full int64
 }
 
 // newRematcher builds the dispatcher for one snapshot of doc. Any of
@@ -259,8 +265,8 @@ func chosenEstimate(ch exec.Choice) float64 {
 // priced on plus counted actual work, and the full path runs through
 // exec, which emits its record like any other τ dispatch.
 func (rm *rematcher) rematch(doc string, st *storage.Store, plan core.Op, g *pattern.Graph, cands []storage.NodeRef) ([]storage.NodeRef, error) {
-	if rm == nil || rm.model == nil {
-		return naive.MatchOutputWithin(st, g, []storage.NodeRef{0}, cands)
+	if rm.model == nil {
+		return rm.walk(st, g, cands)
 	}
 	var tuner cost.Tuner
 	if rm.cal != nil {
@@ -269,9 +275,9 @@ func (rm *rematcher) rematch(doc string, st *storage.Store, plan core.Op, g *pat
 	ch := rm.model.ChoiceTuned(g, true, 0, tuner)
 	within := rm.model.WithinCost(g, len(cands))
 	if ch.Estimate == nil || within <= chosenEstimate(ch) {
-		var c tally.Counters
+		before := rm.work.NodesVisited
 		start := time.Now()
-		out, err := naive.MatchOutputWithinCounted(st, g, []storage.NodeRef{0}, cands, &c)
+		out, err := rm.walk(st, g, cands)
 		if err != nil {
 			return nil, err
 		}
@@ -282,13 +288,14 @@ func (rm *rematcher) rematch(doc string, st *storage.Store, plan core.Op, g *pat
 				Estimate: &exec.CostEstimate{NoK: within},
 				Contexts: 1,
 				Matches:  len(out),
-				Actual:   c,
+				Actual:   tally.Counters{NodesVisited: rm.work.NodesVisited - before},
 				Dur:      time.Since(start),
 			})
 		}
 		return out, nil
 	}
 	// Full re-match by the model's choice, filtered to the candidates.
+	rm.full++
 	// The estimator only answers for the snapshot the model was built on
 	// (intermediate stores of a multi-record commit get no estimate, so
 	// the calibrator is never fed a mispriced one).
@@ -322,6 +329,12 @@ func (rm *rematcher) rematch(doc string, st *storage.Store, plan core.Op, g *pat
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out, nil
+}
+
+// walk re-tests the candidates by region-restricted navigation,
+// counting its work into rm.work.
+func (rm *rematcher) walk(st *storage.Store, g *pattern.Graph, cands []storage.NodeRef) ([]storage.NodeRef, error) {
+	return naive.MatchOutputWithinCounted(st, g, []storage.NodeRef{0}, cands, &rm.work)
 }
 
 // step advances retained result state across one mutation record: remap

@@ -247,9 +247,10 @@ func (e *Engine) RegisterStore(name string, st *storage.Store) {
 
 // Update applies an exclusive copy-on-write update to a document: fn
 // receives the current store and returns its replacement (e.g. via
-// Store.InsertChild / Store.DeleteSubtree). The synopsis is rebuilt and
-// the generation bumped under the document's write lock; in-flight
-// queries keep executing against the old immutable snapshot.
+// Store.InsertChild / Store.DeleteSubtree). fn is opaque, so the synopsis
+// is rebuilt from scratch (Apply edits it instead) and the generation
+// bumped under the document's write lock; in-flight queries keep
+// executing against the old immutable snapshot.
 func (e *Engine) Update(name string, fn func(*storage.Store) (*storage.Store, error)) error {
 	d, err := e.lookup(name)
 	if err != nil {

@@ -151,9 +151,28 @@ func (e *Engine) Snapshot(name string) (*storage.Store, *stats.Synopsis, uint64,
 // or none do. Paths resolve against the store each mutation sees (so a
 // later mutation can address content an earlier one inserted). In-flight
 // queries keep executing against the previous immutable snapshot.
+//
+// Fragments are parsed before the write lock is taken, so XML parsing
+// never lengthens the window in which new readers wait; under the lock
+// each mutation splices the store and edits the synopsis, work that
+// scales with the edit rather than the document.
 func (e *Engine) Apply(name string, muts []Mutation) (*ApplyResult, error) {
 	if len(muts) == 0 {
 		return nil, fmt.Errorf("engine: apply %q: empty mutation batch", name)
+	}
+	frags := make([]*xmldoc.Document, len(muts))
+	for i, m := range muts {
+		switch m.Op {
+		case MutationInsert:
+			frag, err := parseFragments(m.XML)
+			if err != nil {
+				return nil, fmt.Errorf("engine: apply %q mutation %d: %w", name, i, err)
+			}
+			frags[i] = frag
+		case MutationDelete: // no fragment
+		default:
+			return nil, fmt.Errorf("engine: apply %q mutation %d: unknown op %d", name, i, m.Op)
+		}
 	}
 	d, err := e.lookup(name)
 	if err != nil {
@@ -162,7 +181,7 @@ func (e *Engine) Apply(name string, muts []Mutation) (*ApplyResult, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	prev := d.st
-	st := d.st
+	st, syn := d.st, d.syn
 	recs := make([]MutationRecord, 0, len(muts))
 	res := &ApplyResult{Applied: len(muts)}
 	for i, m := range muts {
@@ -174,24 +193,15 @@ func (e *Engine) Apply(name string, muts []Mutation) (*ApplyResult, error) {
 			next *storage.Store
 			us   storage.UpdateStats
 		)
-		switch m.Op {
-		case MutationInsert:
-			frag, err := parseFragments(m.XML)
-			if err != nil {
-				return nil, fmt.Errorf("engine: apply %q mutation %d: %w", name, i, err)
-			}
-			next, us, err = st.InsertChild(target, frag)
-			if err != nil {
-				return nil, fmt.Errorf("engine: apply %q mutation %d: %w", name, i, err)
-			}
-		case MutationDelete:
+		if m.Op == MutationInsert {
+			next, us, err = st.InsertChild(target, frags[i])
+		} else {
 			next, us, err = st.DeleteSubtree(target)
-			if err != nil {
-				return nil, fmt.Errorf("engine: apply %q mutation %d: %w", name, i, err)
-			}
-		default:
-			return nil, fmt.Errorf("engine: apply %q mutation %d: unknown op %d", name, i, m.Op)
 		}
+		if err != nil {
+			return nil, fmt.Errorf("engine: apply %q mutation %d: %w", name, i, err)
+		}
+		syn = syn.Edit(st, next, us)
 		recs = append(recs, MutationRecord{Op: m.Op, Stats: us, After: next})
 		res.NodesInserted += us.NodesInserted
 		res.NodesDeleted += us.NodesDeleted
@@ -203,7 +213,7 @@ func (e *Engine) Apply(name string, muts []Mutation) (*ApplyResult, error) {
 		st.SetAccountant(d.acct) // shared accountant: PagesTouched never drops backward
 	}
 	d.st = st
-	d.syn = stats.Build(st)
+	d.syn = syn
 	d.gen++
 	res.Generation = d.gen
 	e.met.updates.Add(1)

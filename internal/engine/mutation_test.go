@@ -2,8 +2,16 @@ package engine
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
+	"time"
+
+	"xqp/internal/stats"
+	"xqp/internal/storage"
 )
 
 func TestApplyInsertAndQuery(t *testing.T) {
@@ -77,6 +85,66 @@ func TestApplyAtomicOnError(t *testing.T) {
 	}
 	if len(q.Seq) != 2 {
 		t.Fatalf("failed batch partially applied: %d books", len(q.Seq))
+	}
+}
+
+// TestApplyMalformedFragmentCommitsNothing: a batch whose second
+// fragment is malformed fails as a whole, and it fails while a reader
+// holds the document, because fragments are parsed before the write lock
+// is requested.
+func TestApplyMalformedFragmentCommitsNothing(t *testing.T) {
+	e := newBibEngine(t, Config{})
+	d, err := e.lookup("bib.xml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.mu.RLock()
+	done := make(chan error, 1)
+	go func() {
+		_, err := e.Apply("bib.xml", []Mutation{
+			{Op: MutationInsert, Path: "/", XML: `<book><title>ok</title></book>`},
+			{Op: MutationInsert, Path: "/", XML: `<book><title>broken</book>`},
+		})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("batch with a malformed fragment did not fail")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the malformed fragment was not rejected before the write lock")
+	}
+	d.mu.RUnlock()
+	if _, _, gen, _ := e.Snapshot("bib.xml"); gen != 1 {
+		t.Fatalf("failed batch bumped generation to %d", gen)
+	}
+	q, err := e.Query(context.Background(), "bib.xml", `//book`, QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(q.Seq) != 2 {
+		t.Fatalf("failed batch partially applied: %d books", len(q.Seq))
+	}
+}
+
+// TestApplyEditsSynopsis: the synopsis Apply derives edit by edit equals
+// one built from the committed store.
+func TestApplyEditsSynopsis(t *testing.T) {
+	e := newBibEngine(t, Config{})
+	if _, err := e.Apply("bib.xml", []Mutation{
+		{Op: MutationInsert, Path: "/", XML: `<shelf><book><title>Nested</title></book></shelf>`},
+		{Op: MutationDelete, Path: "/book[1]"},
+		{Op: MutationInsert, Path: "/shelf/book", XML: `<note>n</note><!--c-->`},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	st, syn, _, err := e.Snapshot("bib.xml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := stats.Build(st); !reflect.DeepEqual(syn, want) {
+		t.Fatalf("synopsis after Apply = %v, want %v", syn, want)
 	}
 }
 
@@ -189,5 +257,63 @@ func TestResolvePathErrors(t *testing.T) {
 		if _, err := e.Apply("bib.xml", []Mutation{{Op: MutationDelete, Path: path}}); err == nil {
 			t.Errorf("path %q accepted", path)
 		}
+	}
+}
+
+// TestConcurrentApplyNewNamesAndRead: commits whose fragments bring new
+// names (so the shared vocabulary is copied on extend) and deletes race
+// readers of earlier generations, which keep reading the table their
+// store was published with. Run under -race in CI.
+func TestConcurrentApplyNewNamesAndRead(t *testing.T) {
+	e := newBibEngine(t, Config{})
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for i := 0; i < 30; i++ {
+			muts := []Mutation{{Op: MutationInsert, Path: "/", XML: fmt.Sprintf(`<n%d a%d="v"><title>t</title></n%d>`, i, i, i)}}
+			if i%3 == 2 {
+				muts = append(muts, Mutation{Op: MutationDelete, Path: fmt.Sprintf("/n%d", i-1)})
+			}
+			if _, err := e.Apply("bib.xml", muts); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				st, _, _, err := e.Snapshot("bib.xml")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for n := storage.NodeRef(0); int(n) < st.NodeCount(); n++ {
+					_ = st.Vocab.Name(st.Tag(n))
+				}
+				if _, err := e.Query(context.Background(), "bib.xml", `//title`, QueryOptions{}); err != nil && !errors.Is(err, ErrSaturated) {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	q, err := e.Query(context.Background(), "bib.xml", `//title`, QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 2 + 30 - 10; len(q.Seq) != want {
+		t.Fatalf("%d titles after the commits, want %d", len(q.Seq), want)
 	}
 }

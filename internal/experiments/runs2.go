@@ -17,7 +17,7 @@ import (
 // interval encodings renumber every following node.
 func E11UpdateLocality(scales []int) *Table {
 	t := &Table{ID: "E11", Title: "Update locality: insert one <book> (bib corpus)",
-		Columns: []string{"scale", "nodes", "succinct dirty B", "interval dirty B", "interval/succinct", "rebuild"}}
+		Columns: []string{"scale", "nodes", "succinct dirty B", "interval dirty B", "interval/succinct", "splice"}}
 	frag := xmldoc.MustParse(`<book year="2004"><title>fresh</title><price>10.00</price></book>`)
 	for _, s := range scales {
 		st := xmark.StoreBib(s)
@@ -35,7 +35,7 @@ func E11UpdateLocality(scales []int) *Table {
 	}
 	t.Notes = append(t.Notes,
 		"dirty bytes = contiguous encoding region an in-place implementation rewrites",
-		"rebuild = wall time of this copy-on-write prototype (O(n); a paged store writes only the dirty region)")
+		"splice = wall time of the copy-on-write edit (per-node work follows the edit, but the flat arrays are block-copied; a paged store writes only the dirty region)")
 	return t
 }
 

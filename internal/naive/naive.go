@@ -176,10 +176,16 @@ func (e *evaluator) down(n storage.NodeRef, v pattern.VertexID) bool {
 }
 
 func (e *evaluator) downEval(n storage.NodeRef, v pattern.VertexID) bool {
-	if !e.test(n, v) {
-		return false
-	}
+	return e.test(n, v) && e.edgesHold(n, v, -1)
+}
+
+// edgesHold reports whether every edge of v, except the one to vertex
+// skip, has a witness at the edge's relation below n.
+func (e *evaluator) edgesHold(n storage.NodeRef, v, skip pattern.VertexID) bool {
 	for _, edge := range e.g.Children[v] {
+		if edge.To == skip {
+			continue
+		}
 		found := false
 		if edge.Rel == pattern.RelChild {
 			for c := e.st.FirstChild(n); c != storage.NilRef; c = e.st.NextSibling(c) {
@@ -217,7 +223,7 @@ func (e *evaluator) bind(n storage.NodeRef, v pattern.VertexID) bool {
 }
 
 // up reports whether v's pattern parent can be bound at the appropriate
-// ancestor of n.
+// ancestor of n. Callers have established down(n, v).
 func (e *evaluator) up(n storage.NodeRef, v pattern.VertexID) bool {
 	if v == 0 {
 		return true
@@ -225,12 +231,30 @@ func (e *evaluator) up(n storage.NodeRef, v pattern.VertexID) bool {
 	p, rel := e.g.Parent(v)
 	if rel == pattern.RelChild {
 		a := e.st.Parent(n)
-		return a != storage.NilRef && e.bind(a, p)
+		return a != storage.NilRef && e.bindVia(a, p, v)
 	}
 	for a := e.st.Parent(n); a != storage.NilRef; a = e.st.Parent(a) {
-		if e.bind(a, p) {
+		if e.bindVia(a, p, v) {
 			return true
 		}
 	}
 	return false
+}
+
+// bindVia is bind(a, p) for an a reached upward from a node n with
+// down(n, via) already established, where via is p's child vertex and n
+// sits at the edge's relation to a. That edge is therefore witnessed, and
+// only p's test, its other edges and up(a, p) remain to check; the
+// verdict is bind's, so it shares bind's memo. Skipping the witnessed
+// edge is what keeps a region-restricted re-match local: re-checking a
+// descendant edge from the document root would scan the document up to
+// its first witness.
+func (e *evaluator) bindVia(a storage.NodeRef, p, via pattern.VertexID) bool {
+	k := key{a, p}
+	if r, ok := e.bindMemo[k]; ok {
+		return r
+	}
+	r := e.test(a, p) && e.edgesHold(a, p, via) && e.up(a, p)
+	e.bindMemo[k] = r
+	return r
 }

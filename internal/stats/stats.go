@@ -9,13 +9,15 @@
 // A Synopsis is immutable after Build returns: estimation walks
 // (EstimatePattern, Matchable, PathCount, ...) only read the summary
 // tree, so one synopsis may serve concurrent queries without locking.
-// When a document is updated the synopsis must be rebuilt alongside the
-// new store under the owner's exclusive lock (internal/engine does this
-// during its generation bump).
+// When a document is updated the synopsis is derived alongside the new
+// store under the owner's exclusive lock (internal/engine does this
+// during its generation bump): Edit follows one tracked edit, copying
+// only the summary nodes it changes, and Build rebuilds from scratch.
 package stats
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 
 	"xqp/internal/ast"
@@ -79,6 +81,125 @@ func Build(st *storage.Store) *Synopsis {
 		return true
 	})
 	return s
+}
+
+// Edit returns the synopsis of after, where s summarizes before and after
+// is before with the one edit us describes (a Store.InsertChild or
+// Store.DeleteSubtree). It copies the summary nodes on the root→parent
+// label path and on the label paths of the inserted or deleted subtree,
+// adjusts their counts and prunes entries that reach zero; every other
+// node is shared, and s is never modified, so older snapshots stay valid.
+// Its work is proportional to the edit, and its result equals
+// Build(after).
+func (s *Synopsis) Edit(before, after *storage.Store, us storage.UpdateStats) *Synopsis {
+	out := &Synopsis{
+		tagCount:  maps.Clone(s.tagCount),
+		nodeCount: s.nodeCount,
+		elemCount: s.elemCount,
+		maxDepth:  s.maxDepth,
+	}
+	e := &synEdit{own: map[*node]bool{}}
+	out.root = e.copy(s.root)
+
+	st, delta, count := after, int64(1), us.NodesInserted
+	if us.NodesDeleted > 0 {
+		st, delta, count = before, -1, us.NodesDeleted
+	}
+	// The parent and its ancestors precede the edit point, so they have
+	// the same refs and tags in both stores.
+	var path []vocab.Symbol
+	for a := us.Parent; a > 0; a = st.Parent(a) {
+		path = append(path, st.Tag(a))
+	}
+	parent := out.root
+	for i := len(path) - 1; i >= 0; i-- {
+		parent = e.child(parent, path[i])
+	}
+	// The edited nodes are one subtree (delete) or a run of sibling
+	// subtrees under the parent (insert).
+	deepest := 0
+	stack := []*node{parent}
+	end := us.EditPoint + storage.NodeRef(count)
+	for r := us.EditPoint; r < end; r += storage.NodeRef(st.SubtreeSize(r)) {
+		st.Scan(r, func(n storage.NodeRef, depth int) bool {
+			sym := st.Tag(n)
+			c := e.child(stack[depth], sym)
+			c.count += delta
+			stack = append(stack[:depth+1], c)
+			out.tagCount[sym] += delta
+			if out.tagCount[sym] == 0 {
+				delete(out.tagCount, sym)
+			}
+			out.nodeCount += delta
+			if st.Kind(n) == xmldoc.KindElement {
+				out.elemCount += delta
+			}
+			if d := len(path) + 1 + depth; d > deepest {
+				deepest = d
+			}
+			return true
+		})
+	}
+	if delta > 0 {
+		if deepest > out.maxDepth {
+			out.maxDepth = deepest
+		}
+		return out
+	}
+	// A zero count can only appear on a node the edit copied, under a
+	// parent it copied too.
+	for n := range e.own {
+		for sym, c := range n.children {
+			if c.count == 0 {
+				delete(n.children, sym)
+			}
+		}
+	}
+	if deepest >= out.maxDepth {
+		out.maxDepth = out.root.height()
+	}
+	return out
+}
+
+// synEdit tracks which summary nodes an Edit owns (has copied or
+// created); only those may be modified.
+type synEdit struct {
+	own map[*node]bool
+}
+
+// copy returns a private copy of n sharing its children.
+func (e *synEdit) copy(n *node) *node {
+	c := &node{sym: n.sym, count: n.count, children: maps.Clone(n.children)}
+	e.own[c] = true
+	return c
+}
+
+// child returns p's owned child for sym, copying or creating it; p must
+// be owned.
+func (e *synEdit) child(p *node, sym vocab.Symbol) *node {
+	c, ok := p.children[sym]
+	switch {
+	case !ok:
+		c = newNode(sym)
+		e.own[c] = true
+	case !e.own[c]:
+		c = e.copy(c)
+	default:
+		return c
+	}
+	p.children[sym] = c
+	return c
+}
+
+// height is the depth of the deepest node below n (0 for a leaf).
+func (n *node) height() int {
+	h := 0
+	for _, c := range n.children {
+		if ch := c.height() + 1; ch > h {
+			h = ch
+		}
+	}
+	return h
 }
 
 // NodeCount reports the number of stored nodes excluding the root.

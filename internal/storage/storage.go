@@ -38,8 +38,15 @@
 // the Accountant serializes its counters internally), so any number of
 // goroutines may query one Store concurrently without locking. The
 // update operations (DeleteSubtree, InsertChild) are copy-on-write —
-// they return a NEW Store and never modify the receiver — but swapping
-// the new store into a shared catalog requires exclusive access;
+// they return a NEW Store and never modify the receiver. They splice
+// rather than rebuild: the new store is the receiver's prefix, the
+// edited fragment and its suffix, with content strings shared and the
+// parenthesis vector copied a word at a time, so per-node work follows
+// the edit. Generations share one vocabulary, copied on extend: a
+// fragment that brings a new name clones the table, so a table published
+// with a store is never mutated, and names whose last node is deleted
+// stay interned. Swapping the new store into a shared catalog requires
+// exclusive access;
 // internal/engine serializes that swap behind a per-document RWMutex and
 // bumps the document's generation so cached plans cannot outlive the
 // store they were compiled against. The only mutating methods are

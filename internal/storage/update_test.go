@@ -214,3 +214,110 @@ func TestUpdateStatsEditLocation(t *testing.T) {
 		}
 	}
 }
+
+// TestEditKeepsPageSize: an edited store keeps the receiver's accounting
+// page size instead of falling back to DefaultPageSize.
+func TestEditKeepsPageSize(t *testing.T) {
+	s := MustLoad(bibXML)
+	s.SetPageSize(64)
+	ins, _, err := s.InsertChild(s.DocumentElement(), xmldoc.MustParse(`<book><title>T</title></book>`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	del, _, err := ins.DeleteSubtree(ins.ElementRefs("book")[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range []*Store{ins, del} {
+		a := NewAccountant()
+		st.SetAccountant(a)
+		st.Scan(st.Root(), func(NodeRef, int) bool { return true })
+		// 64-byte pages hold 16 parentheses, so a scan of the whole
+		// document spans several pages; 4096-byte pages would hold it in one.
+		if a.Pages() < 2 {
+			t.Fatalf("scan touched %d page(s): page size %d was not kept", a.Pages(), st.pageSize)
+		}
+	}
+}
+
+// ReferenceDelete and ReferenceInsert compute an edit the slow way, by
+// copying the whole store through a fresh Builder. They are the reference
+// the spliced DeleteSubtree and InsertChild are tested against.
+func (s *Store) ReferenceDelete(target NodeRef) *Store {
+	return s.rebuild(func(_ *Builder, n NodeRef) bool { return n != target }, nil)
+}
+
+func (s *Store) ReferenceInsert(parent NodeRef, frag *xmldoc.Document) *Store {
+	return s.rebuild(nil, map[NodeRef]*xmldoc.Document{parent: frag})
+}
+
+// rebuild copies the store through a Builder, skipping nodes rejected by
+// keep (nil keeps everything) and appending fragment children under the
+// keys of insertUnder (nil inserts nothing).
+func (s *Store) rebuild(keep func(*Builder, NodeRef) bool, insertUnder map[NodeRef]*xmldoc.Document) *Store {
+	b := NewBuilder(nil)
+	var emit func(n NodeRef)
+	emit = func(n NodeRef) {
+		if keep != nil && !keep(b, n) {
+			return
+		}
+		switch s.Kind(n) {
+		case xmldoc.KindDocument:
+			for c := s.FirstChild(n); c != NilRef; c = s.NextSibling(c) {
+				emit(c)
+			}
+			if frag, ok := insertUnder[n]; ok {
+				copyFragment(b, frag)
+			}
+		case xmldoc.KindElement:
+			b.StartElement(s.Name(n))
+			for c := s.FirstChild(n); c != NilRef; c = s.NextSibling(c) {
+				emit(c)
+			}
+			if frag, ok := insertUnder[n]; ok {
+				copyFragment(b, frag)
+			}
+			b.EndElement()
+		case xmldoc.KindAttribute:
+			b.Attr(s.Name(n), s.Content(n))
+		case xmldoc.KindText:
+			b.Text(s.Content(n))
+		case xmldoc.KindComment:
+			b.Comment(s.Content(n))
+		case xmldoc.KindPI:
+			b.PI(s.Name(n), s.Content(n))
+		}
+	}
+	emit(0)
+	out := b.Build()
+	out.URI = s.URI
+	return out
+}
+
+// copyFragment appends the fragment's top-level nodes into the builder.
+func copyFragment(b *Builder, frag *xmldoc.Document) {
+	var emit func(n xmldoc.NodeID)
+	emit = func(n xmldoc.NodeID) {
+		switch frag.Kind(n) {
+		case xmldoc.KindDocument:
+			for c := frag.Nodes[n].FirstChild; c != xmldoc.Nil; c = frag.Nodes[c].NextSibling {
+				emit(c)
+			}
+		case xmldoc.KindElement:
+			b.StartElement(frag.Name(n))
+			for c := frag.Nodes[n].FirstChild; c != xmldoc.Nil; c = frag.Nodes[c].NextSibling {
+				emit(c)
+			}
+			b.EndElement()
+		case xmldoc.KindAttribute:
+			b.Attr(frag.Name(n), frag.Value(n))
+		case xmldoc.KindText:
+			b.Text(frag.Value(n))
+		case xmldoc.KindComment:
+			b.Comment(frag.Value(n))
+		case xmldoc.KindPI:
+			b.PI(frag.Name(n), frag.Value(n))
+		}
+	}
+	emit(frag.Root())
+}

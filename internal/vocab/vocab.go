@@ -6,7 +6,11 @@
 // tag comparisons during pattern matching a single integer compare.
 package vocab
 
-import "sort"
+import (
+	"maps"
+	"slices"
+	"sort"
+)
 
 // Symbol is a dense identifier for an interned name. The zero Symbol is
 // reserved for the synthetic document root.
@@ -42,6 +46,14 @@ func (t *Table) Intern(name string) Symbol {
 	t.names = append(t.names, name)
 	t.byName[name] = s
 	return s
+}
+
+// Clone returns an independent copy with the same symbols: interning into
+// the copy never changes t. Store generations share one table and clone
+// it only when an edit brings a name it lacks (copy on extend), so a
+// table, once published with a store, is never mutated.
+func (t *Table) Clone() *Table {
+	return &Table{byName: maps.Clone(t.byName), names: slices.Clone(t.names)}
 }
 
 // Lookup returns the symbol for name, or None if it was never interned.

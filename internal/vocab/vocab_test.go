@@ -66,3 +66,20 @@ func TestDenseSymbols(t *testing.T) {
 		t.Error("SizeBytes not positive")
 	}
 }
+
+// TestCloneIsIndependent: a clone keeps every symbol, and interning into
+// it leaves the original untouched.
+func TestCloneIsIndependent(t *testing.T) {
+	v := New()
+	book := v.Intern("book")
+	c := v.Clone()
+	if c.Lookup("book") != book || c.Len() != v.Len() {
+		t.Fatalf("clone lost symbols: Lookup(book) = %d, Len = %d", c.Lookup("book"), c.Len())
+	}
+	if s := c.Intern("title"); s != Symbol(v.Len()) {
+		t.Fatalf("clone Intern(title) = %d, want %d", s, v.Len())
+	}
+	if v.Lookup("title") != None || v.Len() != 2 {
+		t.Fatal("interning into the clone changed the original")
+	}
+}
