@@ -6,15 +6,17 @@
 //	xq -doc bib.xml -explain '/bib/book[price < 50]'
 //	xq -doc bib.xml -check 'for $x in /bib/nosuch return $x'
 //	xq -doc site.xml -strategy twigstack '//item/name'
-//	xq -doc site.xml -cost -trace '//item/name'
-//	xq -doc site.xml -cost -calibrate -trace '//item/name'
+//	xq -doc site.xml -trace '//item/name'
+//	xq -doc site.xml -calibrate -trace '//item/name'
 //	xq -doc site.xml -j 4 '//item/name'
 //	echo '<a><b/></a>' | xq '/a/b'
 //	xq -watch http://localhost:8080 -doc bib '//book/title'
 //
 // Flags select the physical pattern-matching strategy, disable the
 // logical rewrites, and print the optimized plan, static-analysis
-// diagnostics, or execution metrics.
+// diagnostics, or execution metrics. Under -strategy auto (the default)
+// the synopsis-driven cost model picks the strategy per pattern; -cost
+// is accepted for compatibility and changes nothing.
 //
 // With -watch, xq subscribes to a continuous query on a running xqd
 // daemon instead of evaluating locally: -doc names the server-side
@@ -50,13 +52,13 @@ func run(stdin io.Reader, stdout, stderr io.Writer, argv []string) int {
 	check := fs.Bool("check", false, "print static-analysis diagnostics and the annotated plan instead of running")
 	noRewrite := fs.Bool("no-rewrites", false, "disable logical optimization")
 	noAnalyze := fs.Bool("no-analyze", false, "disable the static analyzer (diagnostics and pruning)")
-	costBased := fs.Bool("cost", false, "use the synopsis-driven cost model for strategy choice")
+	costBased := fs.Bool("cost", false, "no effect, kept for compatibility: -strategy auto is always cost-chosen")
 	trace := fs.Bool("trace", false, "run the query and print the execution trace (EXPLAIN ANALYZE) instead of results")
 	metrics := fs.Bool("metrics", false, "print physical operator counters after the result")
 	indent := fs.Bool("indent", false, "pretty-print node results with indentation")
 	workers := fs.Int("j", 0, "worker budget for partitioned pattern matching (0 or 1: serial, -1: one per CPU)")
 	batched := fs.Bool("batched", false, "run pattern matching batch-at-a-time on compiled batch kernels")
-	calib := fs.Bool("calibrate", false, "feed dispatch records into the cost-model calibrator; with -cost the fitted constants tune strategy choice")
+	calib := fs.Bool("calibrate", false, "feed dispatch records into the cost-model calibrator; under -strategy auto the fitted constants tune strategy choice")
 	watch := fs.String("watch", "", "subscribe to a continuous query on the xqd daemon at this base URL (-doc names the server document)")
 	watchCount := fs.Int("n", 0, "with -watch: exit after this many deltas (0: stream forever)")
 	if err := fs.Parse(argv); err != nil {

@@ -10,7 +10,7 @@
 //
 //	POST /query        {"doc":"bib","query":"//book/title"}  → result JSON
 //	GET  /query?doc=bib&q=//book/title                       → same
-//	GET  /query?doc=bib&q=//book/title&trace=1&cost=1        → + execution trace
+//	GET  /query?doc=bib&q=//book/title&trace=1               → + execution trace
 //	GET  /query?doc=bib&q=//book/title&parallel=4            → partitioned τ execution
 //	GET  /docs                                               → catalog listing
 //	PUT  /docs/{name}  <XML body>                            → register/replace
@@ -23,6 +23,11 @@
 //	GET  /stats                                              → engine counters
 //	GET  /metrics                                            → Prometheus text format
 //	GET  /debug/vars                                         → expvar (incl. "xqp")
+//
+// With strategy auto (the default) the cost model picks the physical
+// pattern-matching strategy per pattern; the cost parameter and the
+// "cost" request field are accepted for compatibility and change
+// nothing.
 //
 // Saturation maps to 503, unknown documents to 404, deadline expiry to
 // 504, compile errors to 400, request bodies over 16 MiB to 413, and
@@ -341,8 +346,9 @@ type queryRequest struct {
 	Doc   string `json:"doc"`
 	Query string `json:"query"`
 	// Strategy: auto|nok|twigstack|pathstack|naive|hybrid.
-	Strategy  string `json:"strategy,omitempty"`
-	CostBased bool   `json:"cost,omitempty"`
+	Strategy string `json:"strategy,omitempty"`
+	// CostBased is a no-op kept for compatibility: auto is cost-chosen.
+	CostBased bool `json:"cost,omitempty"`
 	// Trace attaches the per-operator execution trace (EXPLAIN ANALYZE)
 	// to the response.
 	Trace     bool `json:"trace,omitempty"`

@@ -47,7 +47,7 @@ func main() {
 		}{
 			{"nok", xqp.Options{Strategy: xqp.NoK}},
 			{"twigstack", xqp.Options{Strategy: xqp.TwigStack}},
-			{"cost-based", xqp.Options{CostBased: true}},
+			{"auto", xqp.Options{}},
 		} {
 			start := time.Now()
 			res, err := db.QueryWith(q.src, opt.o)

@@ -21,8 +21,10 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 
 	"xqp/internal/batch"
+	"xqp/internal/core"
 	"xqp/internal/exec"
 	"xqp/internal/pattern"
 	"xqp/internal/stats"
@@ -79,10 +81,11 @@ const (
 	// FindClose-backed navigation (calibrated on E19: the kernel runs
 	// the same upward/downward passes without per-node FindClose).
 	batchNoKFactor = 0.4
-	// batchStreamFactor is the modeled ratio of building the join
-	// matchers' vertex streams from the one-scan interval arrays
-	// against per-element FindClose; only the stream-build share of
-	// the join cost shrinks, the stack phases are unchanged.
+	// batchStreamFactor is the static batched-stream ratio the
+	// calibrator reports until it has fitted one (Tuner.BatchFactors).
+	// No verdict reads it: batched join streams rebuild the interval
+	// arrays over the whole document per dispatch and lose to the plain
+	// streams on every measured workload, so joins are never batched.
 	batchStreamFactor = 0.7
 )
 
@@ -181,8 +184,18 @@ func NewModelWith(st *storage.Store, syn *stats.Synopsis) *Model {
 // Synopsis exposes the underlying synopsis.
 func (m *Model) Synopsis() *stats.Synopsis { return m.syn }
 
+// estimateCalls counts synopsis walks by Estimate, process-wide.
+var estimateCalls atomic.Int64
+
+// EstimateCalls reports how many patterns Estimate has priced so far in
+// this process. Every call walks the synopsis, so a serving path that
+// prices its plans once (EstimatePlan) keeps this flat on plan-cache
+// hits.
+func EstimateCalls() int64 { return estimateCalls.Load() }
+
 // Estimate computes the cost estimate for a pattern on this document.
 func (m *Model) Estimate(g *pattern.Graph) Estimate {
+	estimateCalls.Add(1)
 	var streams float64
 	for v := 1; v < g.VertexCount(); v++ {
 		streams += m.syn.EstimateVertexMatches(m.st, &g.Vertices[v])
@@ -298,7 +311,14 @@ func (m *Model) ChoiceBatched(g *pattern.Graph, rootAnchored bool, workers int) 
 // so downstream calibration keeps fitting against a stable baseline
 // instead of chasing its own corrections.
 func (m *Model) ChoiceTuned(g *pattern.Graph, rootAnchored bool, workers int, t Tuner) exec.Choice {
-	e := m.Estimate(g)
+	return m.ChoiceFor(m.Estimate(g), g, rootAnchored, workers, t)
+}
+
+// ChoiceFor is ChoiceTuned over an estimate the caller already holds
+// (the engine prices every τ pattern once per compiled plan, see
+// EstimatePlan), so a dispatch applies the tuner without re-walking the
+// synopsis. e must be this model's raw Estimate of g.
+func (m *Model) ChoiceFor(e Estimate, g *pattern.Graph, rootAnchored bool, workers int, t Tuner) exec.Choice {
 	te := e
 	if t != nil {
 		nokS, joinS, hybS := t.Scale(g)
@@ -322,12 +342,35 @@ func (m *Model) ChoiceTuned(g *pattern.Graph, rootAnchored bool, workers int, t 
 	if g.VertexCount() > batch.MaxVertices {
 		return ch
 	}
-	bNoK, bStream := batchNoKFactor, batchStreamFactor
+	bNoK := batchNoKFactor
 	if t != nil {
-		bNoK, bStream = t.BatchFactors()
+		bNoK, _ = t.BatchFactors()
 	}
-	ch.Batched = batchedVerdict(te, s, ch.Parallel, eff, bNoK, bStream)
+	ch.Batched = batchedVerdict(te, s, ch.Parallel, eff, float64(m.syn.NodeCount()), bNoK)
 	return ch
+}
+
+// Estimates holds the raw estimate of every τ pattern of one compiled
+// plan, keyed by the plan's own graphs. A plan is compiled against one
+// synopsis (the engine keys cached plans by document generation), so
+// its estimates stay valid for as long as the plan is served.
+type Estimates map[*pattern.Graph]Estimate
+
+// EstimatePlan prices every τ pattern of a compiled plan once, so the
+// chooser and the calibration estimator read stored estimates instead
+// of walking the synopsis on every dispatch. Call it before the plan is
+// published; the map is read-only afterwards.
+func (m *Model) EstimatePlan(plan core.Op) Estimates {
+	es := Estimates{}
+	core.Walk(plan, func(o core.Op) bool {
+		if t, ok := o.(*core.TPMOp); ok {
+			if _, seen := es[t.Graph]; !seen {
+				es[t.Graph] = m.Estimate(t.Graph)
+			}
+		}
+		return true
+	})
+	return es
 }
 
 // WithinCost models the candidate-wise naive membership test the
@@ -343,27 +386,27 @@ func (m *Model) WithinCost(g *pattern.Graph, candidates int) float64 {
 }
 
 // batchedVerdict asks whether the compiled batch kernels would beat the
-// interpreted matcher for the chosen strategy and mode. Only the work
-// the kernels actually accelerate is scaled by the batch factor: for
-// the joins the stream cost priced into e.Join, and for NoK the scan
-// itself — under parallel dispatch that is the per-worker scan slice
-// e.NoK/eff, not the parSetup/per-partition/merge overheads of the
-// parallel estimate, which the kernels leave untouched.
-func batchedVerdict(e Estimate, s exec.Strategy, parallel bool, eff float64, bNoK, bStream float64) bool {
+// interpreted matcher for the chosen strategy and mode, pricing what
+// each side actually scans. The NoK kernel runs a linear pass over the
+// whole parenthesis sequence of the context (nodes·bNoK plus its
+// setup), while the interpreter's cost is the NoK estimate itself:
+// top-down navigation along matching paths for child-only patterns,
+// two global passes once a descendant edge appears. Under parallel
+// dispatch both sides divide across the effective workers; the
+// parSetup/per-partition/merge overheads are common to both and left
+// out. The joins are never batched: the batched streams rebuild the
+// interval arrays over the whole document per dispatch, and the hybrid
+// matcher has no batched mode.
+func batchedVerdict(e Estimate, s exec.Strategy, parallel bool, eff, nodes, bNoK float64) bool {
 	switch s {
-	case exec.StrategyTwigStack, exec.StrategyPathStack:
-		// The parallel stream scan already avoids per-element
-		// FindClose; batched streams only compete with the serial form.
-		return !parallel && e.Join*bStream+batchSetup < e.Join
-	case exec.StrategyHybrid:
-		// The hybrid matcher has no batched mode.
+	case exec.StrategyTwigStack, exec.StrategyPathStack, exec.StrategyHybrid:
 		return false
 	default:
-		scan := e.NoK
+		interp, kernel := e.NoK, nodes*bNoK
 		if parallel {
-			scan = e.NoK / eff
+			interp, kernel = interp/eff, kernel/eff
 		}
-		return scan*bNoK+batchSetup < scan
+		return kernel+batchSetup < interp
 	}
 }
 

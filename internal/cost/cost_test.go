@@ -109,38 +109,54 @@ func TestNewModelWith(t *testing.T) {
 	}
 }
 
-// TestBatchedVerdictScalesOnlyScanShare pins the parallel-NoK batched
-// boundary: the kernels accelerate the scan slice (NoK/eff) only, so
-// the verdict must compare batchSetup against the savings on that slice
-// — never against the parallel estimate's parSetup/per-partition/merge
-// constants, which batching leaves untouched. The serial boundary sits
-// at scan > batchSetup/(1-batchNoKFactor) ≈ 853.3.
-func TestBatchedVerdictScalesOnlyScanShare(t *testing.T) {
+// TestBatchedVerdictPricesKernelScan pins the batched NoK boundary: the
+// kernel scans the whole context (nodes·bNoK plus batchSetup) whatever
+// the pattern, so it only wins when the interpreter's own estimate is
+// larger. With 1000 nodes the serial boundary sits at NoK = 0.4·1000 +
+// 512 = 912.
+func TestBatchedVerdictPricesKernelScan(t *testing.T) {
 	mk := func(nok float64) Estimate { return Estimate{NoK: nok} }
-	// Serial boundary: 853 stays interpreted, 854 batches.
-	if batchedVerdict(mk(853), exec.StrategyNoK, false, 1, batchNoKFactor, batchStreamFactor) {
-		t.Fatal("serial scan below the boundary chose batched")
+	const nodes = 1000.0
+	if batchedVerdict(mk(912), exec.StrategyNoK, false, 1, nodes, batchNoKFactor) {
+		t.Fatal("serial estimate at the boundary chose batched")
 	}
-	if !batchedVerdict(mk(854), exec.StrategyNoK, false, 1, batchNoKFactor, batchStreamFactor) {
-		t.Fatal("serial scan above the boundary stayed interpreted")
+	if !batchedVerdict(mk(913), exec.StrategyNoK, false, 1, nodes, batchNoKFactor) {
+		t.Fatal("serial estimate above the boundary stayed interpreted")
 	}
-	// Parallel: NoK=3200 over eff=4 leaves a per-worker slice of 800,
-	// below the boundary — batching cannot amortize its setup.
+	// Parallel: both sides divide across the workers, the setup does
+	// not. With eff=4 the kernel costs 100+512, so NoK must exceed 2448.
 	const eff = 4.0
-	e := mk(3200)
-	if batchedVerdict(e, exec.StrategyNoK, true, eff, batchNoKFactor, batchStreamFactor) {
-		t.Fatal("parallel scan slice below the boundary chose batched")
+	if batchedVerdict(mk(2448), exec.StrategyNoK, true, eff, nodes, batchNoKFactor) {
+		t.Fatal("parallel slice at the boundary chose batched")
 	}
-	// The mispriced form — scaling the whole NoKParallel estimate,
-	// parallel overhead constants included — would have said batched
-	// here; keep the premise pinned so the regression stays meaningful.
-	full := e.nokParallelEff(4, eff)
-	if !(full*batchNoKFactor+batchSetup < full) {
-		t.Fatalf("premise lost: whole-estimate pricing no longer favours batched (full=%.0f)", full)
+	if !batchedVerdict(mk(2449), exec.StrategyNoK, true, eff, nodes, batchNoKFactor) {
+		t.Fatal("parallel slice above the boundary stayed interpreted")
 	}
-	// Above the boundary (slice 900) parallel batching pays again.
-	if !batchedVerdict(mk(3600), exec.StrategyNoK, true, eff, batchNoKFactor, batchStreamFactor) {
-		t.Fatal("parallel scan slice above the boundary stayed interpreted")
+	// The joins and the hybrid matcher are never batched, however large
+	// their estimates.
+	for _, s := range []exec.Strategy{exec.StrategyTwigStack, exec.StrategyPathStack, exec.StrategyHybrid} {
+		if batchedVerdict(Estimate{NoK: 1e9, Join: 1e9, Hybrid: 1e9}, s, false, 1, nodes, batchNoKFactor) {
+			t.Fatalf("%v chose batched", s)
+		}
+	}
+}
+
+// TestBatchedVerdictKeepsChildPathsInterpreted pins the verdict on a
+// real synopsis: a rooted child-only path is navigated top-down by the
+// interpreter, far cheaper than the kernel's whole-document scan, while
+// a descendant pattern pays the interpreter's two global passes and
+// batches.
+func TestBatchedVerdictKeepsChildPathsInterpreted(t *testing.T) {
+	m := NewModel(xmark.StoreAuction(8))
+	if ch := m.ChoiceTuned(graphOf(t, "/site/regions/*/item"), false, 0, nil); ch.Strategy != exec.StrategyNoK || ch.Batched {
+		t.Fatalf("child path: got %v batched=%v, want interpreted nok", ch.Strategy, ch.Batched)
+	}
+	if ch := m.ChoiceTuned(graphOf(t, "//*/name"), false, 0, nil); ch.Strategy != exec.StrategyNoK || !ch.Batched {
+		t.Fatalf("broad descendant path: got %v batched=%v, want batched nok", ch.Strategy, ch.Batched)
+	}
+	// A selective root-anchored twig picks a join, which runs unbatched.
+	if ch := m.ChoiceTuned(graphOf(t, "//item/name"), true, 0, nil); ch.Strategy != exec.StrategyPathStack || ch.Batched {
+		t.Fatalf("selective rooted path: got %v batched=%v, want unbatched pathstack", ch.Strategy, ch.Batched)
 	}
 }
 

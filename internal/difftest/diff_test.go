@@ -35,6 +35,24 @@ func TestDifferential(t *testing.T) {
 	}
 }
 
+// TestMetamorphicToggles flips each logical pipeline stage (rewrites,
+// analyzer, path fusion) independently over the whole corpus and
+// demands byte-identical results against the defaults.
+func TestMetamorphicToggles(t *testing.T) {
+	for _, family := range Families {
+		for _, scale := range scales() {
+			db := xqp.FromStore(Store(family, scale))
+			for _, q := range Queries(family) {
+				t.Run(fmt.Sprintf("%s/%d/%s", family, scale, q.Name), func(t *testing.T) {
+					if err := CheckToggles(db, q.Src); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestRaceHammer drives all configurations concurrently against one
 // shared Database. Its value is under -race: the partitioned matchers
 // share the document store, the bitmask window, and the tally sink

@@ -1,9 +1,10 @@
 // Package difftest is the cross-strategy differential harness: it runs
 // a corpus of queries over the deterministic xmark generator families
 // and checks that every physical configuration — NoK, Hybrid,
-// PathStack, TwigStack, naive, the cost-based chooser, and the
-// partitioned parallel variants of each — produces byte-identical
-// serialized results.
+// PathStack, TwigStack, naive, the default cost-chosen strategy, and
+// the partitioned parallel variants of each — produces byte-identical
+// serialized results. A metamorphic suite (Toggles) additionally flips
+// the logical pipeline stages one at a time against the defaults.
 //
 // The reference evaluation is the serial naive matcher: it is the
 // simplest implementation (memoized structural recursion, no shared
@@ -17,6 +18,7 @@ import (
 	"fmt"
 
 	"xqp"
+	"xqp/internal/rewrite"
 	"xqp/internal/storage"
 	"xqp/internal/xmark"
 )
@@ -61,8 +63,8 @@ func Configs() []Config {
 		{Name: "twigstack-j4", Opts: xqp.Options{Strategy: xqp.TwigStack, Parallelism: 4}},
 		{Name: "pathstack", Opts: xqp.Options{Strategy: xqp.PathStack}},
 		{Name: "pathstack-j4", Opts: xqp.Options{Strategy: xqp.PathStack, Parallelism: 4}},
-		{Name: "auto-cost", Opts: xqp.Options{CostBased: true}},
-		{Name: "auto-cost-j4", Opts: xqp.Options{CostBased: true, Parallelism: 4}},
+		{Name: "defaults", Opts: xqp.Options{}},
+		{Name: "defaults-j4", Opts: xqp.Options{Parallelism: 4}},
 		{Name: "nok-batched", Opts: xqp.Options{Strategy: xqp.NoK, Batched: true}},
 		{Name: "nok-batched-j2", Opts: xqp.Options{Strategy: xqp.NoK, Batched: true, Parallelism: 2}},
 		{Name: "nok-batched-j4", Opts: xqp.Options{Strategy: xqp.NoK, Batched: true, Parallelism: 4}},
@@ -71,16 +73,17 @@ func Configs() []Config {
 		{Name: "twigstack-batched", Opts: xqp.Options{Strategy: xqp.TwigStack, Batched: true}},
 		{Name: "pathstack-batched", Opts: xqp.Options{Strategy: xqp.PathStack, Batched: true}},
 		{Name: "hybrid-batched", Opts: xqp.Options{Strategy: xqp.Hybrid, Batched: true}},
-		{Name: "auto-cost-batched", Opts: xqp.Options{CostBased: true, Batched: true}},
-		{Name: "auto-cost-batched-j4", Opts: xqp.Options{CostBased: true, Batched: true, Parallelism: 4}},
+		{Name: "defaults-batched", Opts: xqp.Options{Batched: true}},
+		{Name: "defaults-batched-j4", Opts: xqp.Options{Batched: true, Parallelism: 4}},
 		// Calibrated variants: Options.Calibrate feeds every dispatch
-		// into the database's calibrator, and with CostBased set lets
-		// the fitted corrections steer strategy, parallel and batched
-		// verdicts. Check runs many queries against one Database, so by
-		// the time the later configs run the calibrator has accumulated
-		// fits from the forced-strategy sweeps above — exactly the
-		// regime where a bad tuner could flip a verdict. Whatever it
-		// picks must stay byte-identical to the serial naive oracle.
+		// into the database's calibrator, and under the default auto
+		// strategy lets the fitted corrections steer strategy, parallel
+		// and batched verdicts. Check runs many queries against one
+		// Database, so by the time the later configs run the calibrator
+		// has accumulated fits from the forced-strategy sweeps above —
+		// exactly the regime where a bad tuner could flip a verdict.
+		// Whatever it picks must stay byte-identical to the serial naive
+		// oracle.
 		{Name: "nok-cal", Opts: xqp.Options{Strategy: xqp.NoK, Calibrate: true}},
 		{Name: "naive-cal", Opts: xqp.Options{Strategy: xqp.Naive, Calibrate: true}},
 		{Name: "twigstack-cal", Opts: xqp.Options{Strategy: xqp.TwigStack, Calibrate: true}},
@@ -90,12 +93,48 @@ func Configs() []Config {
 		{Name: "twigstack-cal-j4", Opts: xqp.Options{Strategy: xqp.TwigStack, Calibrate: true, Parallelism: 4}},
 		{Name: "nok-cal-batched", Opts: xqp.Options{Strategy: xqp.NoK, Calibrate: true, Batched: true}},
 		{Name: "pathstack-cal-batched", Opts: xqp.Options{Strategy: xqp.PathStack, Calibrate: true, Batched: true}},
-		{Name: "auto-cost-cal", Opts: xqp.Options{CostBased: true, Calibrate: true}},
-		{Name: "auto-cost-cal-j4", Opts: xqp.Options{CostBased: true, Calibrate: true, Parallelism: 4}},
-		{Name: "auto-cost-cal-j8", Opts: xqp.Options{CostBased: true, Calibrate: true, Parallelism: 8}},
-		{Name: "auto-cost-cal-batched", Opts: xqp.Options{CostBased: true, Calibrate: true, Batched: true}},
-		{Name: "auto-cost-cal-batched-j4", Opts: xqp.Options{CostBased: true, Calibrate: true, Batched: true, Parallelism: 4}},
+		{Name: "defaults-cal", Opts: xqp.Options{Calibrate: true}},
+		{Name: "defaults-cal-j4", Opts: xqp.Options{Calibrate: true, Parallelism: 4}},
+		{Name: "defaults-cal-j8", Opts: xqp.Options{Calibrate: true, Parallelism: 8}},
+		{Name: "defaults-cal-batched", Opts: xqp.Options{Calibrate: true, Batched: true}},
+		{Name: "defaults-cal-batched-j4", Opts: xqp.Options{Calibrate: true, Batched: true, Parallelism: 4}},
 	}
+}
+
+// Toggles returns the metamorphic configurations: each flips exactly
+// one logical pipeline stage off against the defaults — all rewrites,
+// the static analyzer, or path fusion alone (so πs-chains run step by
+// step through the executor's evalPath instead of as one fused τ). The
+// stages are pure optimizations, so every toggle must serialize
+// byte-identically to the defaults.
+func Toggles() []Config {
+	unfused := rewrite.All()
+	unfused.PathFusion = false
+	return []Config{
+		{Name: "no-rewrites", Opts: xqp.Options{DisableRewrites: true}},
+		{Name: "no-analyzer", Opts: xqp.Options{DisableAnalyzer: true}},
+		{Name: "unfused", Opts: xqp.Options{Rewrites: &unfused}},
+	}
+}
+
+// CheckToggles runs src under the defaults and under every toggle and
+// demands byte-identical output, naming the first toggle that differs.
+func CheckToggles(db *xqp.Database, src string) error {
+	want, err := Run(db, src, xqp.Options{})
+	if err != nil {
+		return fmt.Errorf("defaults: %w", err)
+	}
+	for _, cfg := range Toggles() {
+		got, err := Run(db, src, cfg.Opts)
+		if err != nil {
+			return fmt.Errorf("%s: %w", cfg.Name, err)
+		}
+		if got != want {
+			return fmt.Errorf("%s changes the result of %q:\n  %s: %q\n  defaults: %q",
+				cfg.Name, src, cfg.Name, got, want)
+		}
+	}
+	return nil
 }
 
 // Families lists the generator families with corpora.

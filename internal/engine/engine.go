@@ -442,8 +442,8 @@ type QueryOptions struct {
 	// Execution-only: the plan is strategy-agnostic (dispatch happens per
 	// τ operator at run time). xqvet:cachekey exec-only
 	Strategy exec.Strategy
-	// CostBased installs the synopsis-driven strategy chooser when
-	// Strategy is auto. Execution-only for the same reason as Strategy.
+	// CostBased is accepted for compatibility and has no effect: with
+	// Strategy auto every τ dispatch is cost-chosen. Execution-only.
 	// xqvet:cachekey exec-only
 	CostBased bool
 	// DisableRewrites / DisableAnalyzer ablate pipeline stages (these
@@ -492,6 +492,10 @@ type plan struct {
 	op          core.Op
 	diagnostics []analyze.Diagnostic
 	pruned      int
+	// ests is the raw cost estimate of every τ pattern of op, priced
+	// once against the snapshot the plan was compiled for (the cache key
+	// carries the generation, so a cached plan never outlives it).
+	ests cost.Estimates
 }
 
 // Result is one query's outcome.
@@ -607,33 +611,39 @@ func (e *Engine) run(ctx context.Context, doc, src string, opts QueryOptions, wa
 			}
 		}
 	}
-	if opts.CostBased || opts.Trace || cal != nil {
-		// Model over the snapshot synopsis (immutable, so shared safely
-		// across this query's τ dispatches).
-		model := cost.NewModelWith(st, syn)
-		if opts.CostBased && eo.Strategy == exec.StrategyAuto {
-			// The calibrator's fitted corrections steer the verdicts; a
-			// nil interface keeps the static constants.
-			var tuner cost.Tuner
-			if cal != nil {
-				tuner = cal
-			}
-			eo.Chooser = func(cs *storage.Store, g *pattern.Graph, rootAnchored bool) exec.Choice {
-				if cs != st {
-					return exec.Choice{Strategy: exec.StrategyNoK} // secondary doc() targets: no synopsis at hand
-				}
-				return model.ChoiceTuned(g, rootAnchored, opts.Parallelism, tuner)
-			}
+	// Model over the snapshot synopsis (immutable, so shared safely
+	// across this query's τ dispatches). The plan carries the raw
+	// estimate of each of its patterns, priced when it was compiled
+	// against this very snapshot, so a dispatch only applies the tuner.
+	model := cost.NewModelWith(st, syn)
+	estimate := func(g *pattern.Graph) cost.Estimate {
+		if est, ok := p.ests[g]; ok {
+			return est
 		}
-		if opts.Trace || cal != nil {
-			// Calibration needs estimates on every record (that is the
-			// estimated side of each fit), even for forced strategies.
-			eo.Estimator = func(cs *storage.Store, g *pattern.Graph) *exec.CostEstimate {
-				if cs != st {
-					return nil
-				}
-				return model.Estimate(g).ForExec()
+		return model.Estimate(g) // predicate sub-plans are translated at run time
+	}
+	if eo.Strategy == exec.StrategyAuto {
+		// The calibrator's fitted corrections steer the verdicts; a nil
+		// interface keeps the static constants.
+		var tuner cost.Tuner
+		if cal != nil {
+			tuner = cal
+		}
+		eo.Chooser = func(cs *storage.Store, g *pattern.Graph, rootAnchored bool) exec.Choice {
+			if cs != st {
+				return exec.Choice{Strategy: exec.StrategyNoK} // secondary doc() targets: no synopsis at hand
 			}
+			return model.ChoiceFor(estimate(g), g, rootAnchored, opts.Parallelism, tuner)
+		}
+	}
+	if opts.Trace || cal != nil {
+		// Calibration needs estimates on every record (that is the
+		// estimated side of each fit), even for forced strategies.
+		eo.Estimator = func(cs *storage.Store, g *pattern.Graph) *exec.CostEstimate {
+			if cs != st {
+				return nil
+			}
+			return estimate(g).ForExec()
 		}
 	}
 	ex := exec.New(st, eo)
@@ -698,7 +708,7 @@ func (e *Engine) compiledPlan(src, doc string, gen uint64, opts QueryOptions, st
 	if err != nil {
 		return nil, false, fmt.Errorf("%w: %w", ErrInvalidQuery, err)
 	}
-	p := &plan{op: c.Plan, diagnostics: c.Diagnostics, pruned: c.Pruned}
+	p := &plan{op: c.Plan, diagnostics: c.Diagnostics, pruned: c.Pruned, ests: cost.NewModelWith(st, syn).EstimatePlan(c.Plan)}
 	if e.cache.enabled() && !opts.NoCache {
 		e.cache.put(opts.Tenant, key, p)
 	}

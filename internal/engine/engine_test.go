@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"xqp/internal/cost"
 	"xqp/internal/exec"
 	"xqp/internal/storage"
 	"xqp/internal/xmark"
@@ -654,6 +655,34 @@ func TestQueryTraceAndStrategyMetrics(t *testing.T) {
 	}
 	if res3.Trace != nil {
 		t.Error("trace present without the option")
+	}
+}
+
+// TestCachedPlanHitDoesNoEstimate: a plan's patterns are priced once,
+// when it is compiled, so a cache hit runs the chooser (and, traced, the
+// estimator) over the stored estimates without walking the synopsis.
+func TestCachedPlanHitDoesNoEstimate(t *testing.T) {
+	e := newBibEngine(t, Config{})
+	queries := []string{`//book/title`, `for $b in /bib/book where $b/price < 50 return $b/title`}
+	for _, q := range queries {
+		if _, err := e.Query(context.Background(), "bib.xml", q, QueryOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := cost.EstimateCalls()
+	for _, q := range queries {
+		for _, opts := range []QueryOptions{{}, {Trace: true}, {Parallelism: 4}} {
+			res, err := e.Query(context.Background(), "bib.xml", q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Cached {
+				t.Fatalf("%s %+v: plan not cached", q, opts)
+			}
+		}
+	}
+	if n := cost.EstimateCalls() - before; n != 0 {
+		t.Fatalf("cached-plan hits priced %d patterns against the synopsis, want 0", n)
 	}
 }
 

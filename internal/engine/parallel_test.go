@@ -11,13 +11,14 @@ import (
 // TestParallelQueryMetrics: a query with a worker budget surfaces the
 // parallel outcome in the stats snapshot and the trace, and the budget
 // does not fragment the plan cache (Parallelism shapes execution, not
-// the plan).
+// the plan). The strategy is pinned: under auto the cost model would
+// keep this small document serial.
 func TestParallelQueryMetrics(t *testing.T) {
 	e := New(Config{})
 	e.RegisterStore("auction.xml", xmark.StoreAuction(2))
 
 	res, err := e.Query(context.Background(), "auction.xml", `//parlist//text`,
-		QueryOptions{Parallelism: 4, Trace: true})
+		QueryOptions{Strategy: exec.StrategyNoK, Parallelism: 4, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestParallelQueryMetrics(t *testing.T) {
 
 	// Same query without a budget: plan-cache hit (Parallelism is not
 	// part of the key) and a serial run that moves neither counter.
-	res2, err := e.Query(context.Background(), "auction.xml", `//parlist//text`, QueryOptions{})
+	res2, err := e.Query(context.Background(), "auction.xml", `//parlist//text`, QueryOptions{Strategy: exec.StrategyNoK})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +60,12 @@ func TestParallelQueryMetrics(t *testing.T) {
 }
 
 // TestParallelFallbackMetrics: a budgeted query whose τ cannot usefully
-// partition counts a fallback, not a parallel dispatch.
+// partition counts a fallback, not a parallel dispatch. The strategy is
+// pinned, so the fan-out is requested rather than left to the model.
 func TestParallelFallbackMetrics(t *testing.T) {
 	e := newBibEngine(t, Config{})
 	res, err := e.Query(context.Background(), "bib.xml", `/bib/book/title`,
-		QueryOptions{Parallelism: 4})
+		QueryOptions{Strategy: exec.StrategyNoK, Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -172,3 +172,33 @@ func TestBatchedChooserDecides(t *testing.T) {
 		t.Fatal("record not batched")
 	}
 }
+
+// TestAutoJoinsRunPlainStreams: under auto a join pick runs the plain
+// streams even with Options.Batched (and a batched verdict) set, and
+// says so in the record; a pinned join strategy still runs batched.
+func TestAutoJoinsRunPlainStreams(t *testing.T) {
+	for _, s := range []Strategy{StrategyTwigStack, StrategyPathStack} {
+		e := auctionEngine(t, Options{
+			Batched: true,
+			Trace:   true,
+			Chooser: func(*storage.Store, *pattern.Graph, bool) Choice {
+				return Choice{Strategy: s, Batched: true}
+			},
+		})
+		if got := run(t, e, `//bidder/increase`); len(got) == 0 {
+			t.Fatal("no results")
+		}
+		rec := findRecord(t, e)
+		if rec.Executed != s || rec.Batched || rec.BatchedReason != "joins run plain streams under auto" {
+			t.Fatalf("%v under auto: executed %v batched=%v reason=%q", s, rec.Executed, rec.Batched, rec.BatchedReason)
+		}
+		if e.Metrics.BatchedTau != 0 || e.Metrics.BatchedFallbacks != 1 {
+			t.Fatalf("%v under auto: BatchedTau=%d BatchedFallbacks=%d", s, e.Metrics.BatchedTau, e.Metrics.BatchedFallbacks)
+		}
+		pinned := auctionEngine(t, Options{Strategy: s, Batched: true, Trace: true})
+		run(t, pinned, `//bidder/increase`)
+		if rec := findRecord(t, pinned); !rec.Batched {
+			t.Fatalf("pinned %v: record not batched (%q)", s, rec.BatchedReason)
+		}
+	}
+}

@@ -71,7 +71,10 @@ type Options struct {
 	// are bit-identical to the interpreted matchers. Dispatches the
 	// kernels cannot serve (patterns over batch.MaxVertices vertices,
 	// strategies without a batched mode) fall back to the interpreter
-	// with a recorded reason — never silently.
+	// with a recorded reason — never silently. Under StrategyAuto a join
+	// pick always runs the plain streams: the batched ones rebuild the
+	// interval arrays over the whole document per dispatch and lose to
+	// them, so they run only when the join strategy is pinned.
 	Batched bool
 	// Chooser, when non-nil and Strategy is StrategyAuto, picks the
 	// strategy per τ invocation (wired to the cost model). rootAnchored
@@ -624,6 +627,10 @@ func (e *Engine) matchStore(st *storage.Store, g *pattern.Graph, contexts []stor
 	}
 	if executed != chosen {
 		e.Metrics.StrategyFallbacks++
+	}
+	// Batched join streams lose to the plain ones (see Options.Batched).
+	if useBatched && e.opts.Strategy == StrategyAuto && (executed == StrategyTwigStack || executed == StrategyPathStack) {
+		useBatched, batchedReason = false, "joins run plain streams under auto"
 	}
 	e.Metrics.TauByStrategy[executed]++
 	var rec *StrategyRecord

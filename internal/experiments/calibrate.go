@@ -125,7 +125,7 @@ func E20Calibration(scale int) *Table {
 				panic(fmt.Sprintf("E20 %s %s: oracle: %v", fam.family, q, err))
 			}
 			oracle[q] = res.XML()
-			res, err = db.QueryWith(q, xqp.Options{CostBased: true, Trace: true})
+			res, err = db.QueryWith(q, xqp.Options{Trace: true})
 			if err != nil {
 				panic(fmt.Sprintf("E20 %s %s: static choice: %v", fam.family, q, err))
 			}
@@ -174,7 +174,7 @@ func E20Calibration(scale int) *Table {
 			panic(fmt.Sprintf("E20 %s: restore: %v", fam.family, err))
 		}
 		for _, q := range fam.queries {
-			check("calibrated", q, xqp.Options{CostBased: true, Calibrate: true})
+			check("calibrated", q, xqp.Options{Calibrate: true})
 		}
 		_, r = cal.Stats()
 		regretTuned := r - baseRegret

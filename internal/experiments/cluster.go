@@ -40,7 +40,7 @@ func clusterWorkload(family string) (string, []string, xqp.EngineQueryOptions) {
 			`//bidder[increase]/date`,
 			`//open_auction[bidder]/current`,
 			`//open_auction[bidder][initial]/current`,
-		}, xqp.EngineQueryOptions{CostBased: true}
+		}, xqp.EngineQueryOptions{}
 	}
 	panic("E21: unknown family " + family)
 }

@@ -485,7 +485,7 @@ func E10UseCases(scale int) *Table {
 		}
 		dNok, rNok := run(xqp.Options{Strategy: xqp.NoK})
 		dTwig, rTwig := run(xqp.Options{Strategy: xqp.TwigStack})
-		dCost, rCost := run(xqp.Options{CostBased: true})
+		dCost, rCost := run(xqp.Options{})
 		base = rNok
 		agree := "yes"
 		if rTwig.XML() != base.XML() || rCost.XML() != base.XML() {

@@ -170,7 +170,7 @@ func E16EstimateAccuracy(scale int) *Table {
 	}
 	var qerrs []float64
 	for _, q := range queries {
-		res, err := db.QueryWith(q, xqp.Options{CostBased: true, Trace: true})
+		res, err := db.QueryWith(q, xqp.Options{Trace: true})
 		if err != nil {
 			panic(err)
 		}

@@ -6,7 +6,10 @@ package join
 // costs an O(1) array load per element instead of a FindClose (block
 // scans plus a segment-tree walk) inside elemOf. The stack phases are
 // unchanged — they consume the same document-ordered streams — so
-// results are identical to the interpreted entry points.
+// results are identical to the interpreted entry points. The interval
+// scan covers the whole document on every call, which costs more than
+// the plain streams' per-element FindClose on every measured workload,
+// so the executor runs these only when a join strategy is pinned.
 
 import (
 	"xqp/internal/ast"

@@ -203,6 +203,13 @@ func TestTwigCount(t *testing.T) {
 	if got := TwigCount(st, g); got != 3 {
 		t.Fatalf("TwigCount = %d, want 3", got)
 	}
+	// The last leaf's shared vertices (root, a, b) are not the first
+	// columns of the merged table (a's c comes before b): the join must
+	// key on b too. One a·c pair times b1's 1·1 and b2's 1·2 choices.
+	st = storage.MustLoad(`<a><c/><b><a/><c/></b><b><a/><c/><c/></b></a>`)
+	if got := TwigCount(st, graphOf(t, "//a[c]/b[a][c]")); got != 3 {
+		t.Fatalf("nested TwigCount = %d, want 3", got)
+	}
 }
 
 // randomXML builds a random recursive document string.
@@ -228,6 +235,10 @@ var twigQueries = []string{
 	"/a", "//b", "/a/b", "/a//c", "//a/b", "//a//b//c",
 	"/a[b]/c", "//a[b][c]", "//b[a]", "//a[b/c]", "/a/*/c",
 	"//*[b]", "//a[.//c]/b", "/a/a/a",
+	// Nested branching, with the output above, below and beside the
+	// branch points: the shapes the merge's join tree must handle.
+	"//a[c]/b[a][c]", "//a[b[c][a]][c]", "//a[c]/b[a][c]/a",
+	"//a[b/c][c/b]//a", "//*[a][b][c]", "//a[.//b[c]]/c[a]",
 }
 
 // Property: TwigStack, PathStack and naive navigation agree on random
@@ -259,6 +270,46 @@ func TestStrategiesAgreeProperty(t *testing.T) {
 					t.Logf("seed %d query %s: PathStack %v != naive %v", seed, q, got, want)
 					return false
 				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// embeddings counts the pattern's full matches below vertex v bound
+// to e by brute force over the vertex streams.
+func embeddings(st *storage.Store, g *pattern.Graph, v pattern.VertexID, e Elem) int {
+	n := 1
+	for _, edge := range g.Children[v] {
+		k := 0
+		for _, d := range VertexStream(st, g.Vertices[edge.To]) {
+			if e.Contains(d) && (edge.Rel != pattern.RelChild || e.Level+1 == d.Level) {
+				k += embeddings(st, g, edge.To, d)
+			}
+		}
+		n *= k
+	}
+	return n
+}
+
+// Property: TwigCount joins the whole path solutions into exactly the
+// pattern's full matches, counted by brute force.
+func TestTwigCountProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		st, err := storage.LoadString(randomXML(r, 40))
+		if err != nil {
+			return false
+		}
+		for _, q := range twigQueries {
+			g := graphOf(t, q)
+			want := embeddings(st, g, 0, RootStream(st)[0])
+			if got := TwigCount(st, g); got != want {
+				t.Logf("seed %d query %s: TwigCount %d, brute force %d", seed, q, got, want)
+				return false
 			}
 		}
 		return true

@@ -70,16 +70,14 @@ func VertexStreamsParallel(st *storage.Store, g *pattern.Graph, workers int, int
 // scans inline.
 func TwigStackStreamsCounted(st *storage.Store, g *pattern.Graph, streams []Stream, interrupt func() error, c *tally.Counters) (s Stream, err error) {
 	defer catchInterrupt(&err)
-	t := newTwigStreams(st, g, streams, &poller{interrupt: interrupt})
+	t := newTwigStreams(st, g, streams, &poller{interrupt: interrupt}, false)
 	t.run()
 	out := t.merge()
 	if c != nil {
 		for _, cur := range t.curs {
 			c.StreamElems += int64(cur.pos)
 		}
-		for _, l := range t.leaves {
-			c.Solutions += int64(len(t.sols[l]))
-		}
+		c.Solutions += int64(t.emitted)
 	}
 	return out, nil
 }

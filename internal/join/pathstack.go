@@ -80,7 +80,12 @@ func pathStack(st *storage.Store, g *pattern.Graph, streams []Stream, p *poller,
 		}
 	}
 	var out Stream
-	seen := make(map[int32]bool)
+	// Leaf elements arrive once each and in document order, so only an
+	// inner output vertex, bound by many chains, needs deduplication.
+	var seen map[int32]bool
+	if outPos != leaf {
+		seen = make(map[int32]bool)
+	}
 	for !curs[leaf].EOF() {
 		p.poll()
 		// qmin: stream with minimal next start.
@@ -105,8 +110,7 @@ func pathStack(st *storage.Store, g *pattern.Graph, streams []Stream, p *poller,
 		curs[qmin].Advance()
 		if qmin == leaf {
 			if outPos == leaf {
-				if !seen[e.Start] && hasChain(stacks, rels, leaf, len(stacks[leaf])-1) {
-					seen[e.Start] = true
+				if hasChain(stacks, rels, leaf, len(stacks[leaf])-1) {
 					out = append(out, e)
 				}
 			} else {

@@ -1,7 +1,8 @@
 package join
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"xqp/internal/pattern"
 )
@@ -85,7 +86,7 @@ func StackTreeAncestors(ancs, descs Stream, rel pattern.Rel) Stream {
 }
 
 func sortStream(s Stream) {
-	sort.Slice(s, func(i, j int) bool { return s[i].Start < s[j].Start })
+	slices.SortFunc(s, func(a, b Elem) int { return cmp.Compare(a.Start, b.Start) })
 }
 
 // PathJoin evaluates a pure path pattern (no branching) by chaining binary

@@ -10,8 +10,6 @@
 package join
 
 import (
-	"sort"
-
 	"xqp/internal/ast"
 	"xqp/internal/pattern"
 	"xqp/internal/storage"
@@ -128,6 +126,13 @@ func VertexStream(st *storage.Store, v pattern.Vertex) Stream {
 // wildcard and kind-test cases, which visit every node).
 func vertexStream(st *storage.Store, v pattern.Vertex, p *poller) Stream {
 	var out Stream
+	// presize fits a posting-list scan exactly when no predicate filters
+	// it; a filtered scan may keep few of the postings, so it grows.
+	presize := func(refs []storage.NodeRef) {
+		if len(v.Preds) == 0 {
+			out = make(Stream, 0, len(refs))
+		}
+	}
 	add := func(n storage.NodeRef) {
 		p.poll()
 		for _, pr := range v.Preds {
@@ -148,7 +153,9 @@ func vertexStream(st *storage.Store, v pattern.Vertex, p *poller) Stream {
 			}
 			return out
 		}
-		for _, n := range st.TagRefs(st.Vocab.Lookup("@" + v.Test.Name)) {
+		refs := st.TagRefs(st.Vocab.Lookup("@" + v.Test.Name))
+		presize(refs)
+		for _, n := range refs {
 			add(n)
 		}
 		return out
@@ -162,7 +169,9 @@ func vertexStream(st *storage.Store, v pattern.Vertex, p *poller) Stream {
 			}
 			return out
 		}
-		for _, n := range st.ElementRefs(v.Test.Name) {
+		refs := st.ElementRefs(v.Test.Name)
+		presize(refs)
+		for _, n := range refs {
 			add(n)
 		}
 		return out
@@ -192,7 +201,7 @@ func ContextStream(st *storage.Store, refs []storage.NodeRef) Stream {
 	for _, n := range refs {
 		out = append(out, elemOf(st, n))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
+	sortStream(out)
 	return out
 }
 

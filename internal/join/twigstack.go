@@ -1,9 +1,7 @@
 package join
 
 import (
-	"sort"
-	"strconv"
-	"strings"
+	"slices"
 
 	"xqp/internal/pattern"
 	"xqp/internal/storage"
@@ -15,8 +13,11 @@ const maxStart = int32(1<<31 - 1)
 // TwigStack evaluates a (possibly branching) pattern graph with the
 // holistic twig join of Bruno et al. (SIGMOD 2002): phase one produces
 // root-to-leaf path solutions using chained stacks coordinated by getNext;
-// phase two merge-joins the per-leaf solution sets on their shared prefix
-// vertices. Parent-child edges are filtered during enumeration (TwigStack
+// phase two joins the per-leaf solution sets on their shared prefix
+// vertices — as semi-joins that keep only the columns the output needs,
+// since the matches of one vertex are all that is returned (TwigCount
+// materializes the full join). Parent-child edges are filtered during
+// enumeration (TwigStack
 // is optimal for ancestor-descendant-only twigs and correct for mixed
 // ones).
 //
@@ -44,20 +45,47 @@ type twig struct {
 	rel    []pattern.Rel
 	// p polls cancellation from the stream scans and the merge loop.
 	p *poller
-	// path[v] is the root-to-v vertex chain for each leaf vertex.
+	// leaves lists the leaf vertices in depth-first order; paths[v] is
+	// the root-to-v vertex chain of each leaf v.
 	leaves []pattern.VertexID
-	paths  map[pattern.VertexID][]pattern.VertexID
-	// sols[leaf] accumulates path solutions, one Elem per path vertex.
-	sols map[pattern.VertexID][][]Elem
+	paths  [][]pattern.VertexID
+	// sols[leaf] is leaf's path-solution table over a prefix of
+	// paths[leaf] (see table and trimWidths).
+	sols []table
+	// emitted counts the path solutions enumerated, before trimming.
+	emitted int
+	// tuple is the solution under construction in emit.
+	tuple []Elem
 }
 
+// table is a flat row-major match table: row i is
+// cells[i*width : (i+1)*width]. Keeping every row in one arena makes a
+// solution cost no allocation of its own.
+type table struct {
+	cells []Elem
+	width int
+}
+
+func (tb table) rows() int {
+	if tb.width == 0 {
+		return 0
+	}
+	return len(tb.cells) / tb.width
+}
+
+func (tb table) row(i int) []Elem { return tb.cells[i*tb.width : (i+1)*tb.width] }
+
+// newTwig builds the twig state over inline stream scans, keeping whole
+// path solutions (TwigCount joins them into full twig matches).
 func newTwig(st *storage.Store, g *pattern.Graph) *twig {
-	return newTwigStreams(st, g, nil, nil)
+	return newTwigStreams(st, g, nil, nil, true)
 }
 
 // newTwigStreams builds the twig state over prebuilt per-vertex streams;
-// a nil streams slice scans them inline (the serial path).
-func newTwigStreams(st *storage.Store, g *pattern.Graph, streams []Stream, p *poller) *twig {
+// a nil streams slice scans them inline (the serial path). full keeps
+// every column of every path solution; otherwise the tables keep only
+// the prefix the output needs (see trimWidths).
+func newTwigStreams(st *storage.Store, g *pattern.Graph, streams []Stream, p *poller, full bool) *twig {
 	n := g.VertexCount()
 	t := &twig{
 		g:      g,
@@ -66,8 +94,8 @@ func newTwigStreams(st *storage.Store, g *pattern.Graph, streams []Stream, p *po
 		parent: make([]pattern.VertexID, n),
 		rel:    make([]pattern.Rel, n),
 		p:      p,
-		paths:  map[pattern.VertexID][]pattern.VertexID{},
-		sols:   map[pattern.VertexID][][]Elem{},
+		paths:  make([][]pattern.VertexID, n),
+		sols:   make([]table, n),
 	}
 	t.curs[0] = NewCursor(RootStream(st))
 	t.parent[0] = -1
@@ -81,18 +109,62 @@ func newTwigStreams(st *storage.Store, g *pattern.Graph, streams []Stream, p *po
 			t.curs[v] = NewCursor(vertexStream(st, g.Vertices[v], p))
 		}
 	}
-	for v := 0; v < n; v++ {
+	var chain []pattern.VertexID
+	var walk func(v pattern.VertexID)
+	walk = func(v pattern.VertexID) {
+		chain = append(chain, v)
 		if len(g.Children[v]) == 0 {
-			vid := pattern.VertexID(v)
-			t.leaves = append(t.leaves, vid)
-			var chain []pattern.VertexID
-			for u := vid; u >= 0; u = t.parent[u] {
-				chain = append([]pattern.VertexID{u}, chain...)
-			}
-			t.paths[vid] = chain
+			t.leaves = append(t.leaves, v)
+			t.paths[v] = slices.Clone(chain)
+			t.sols[v].width = len(chain)
 		}
+		for _, e := range g.Children[v] {
+			walk(e.To)
+		}
+		chain = chain[:len(chain)-1]
+	}
+	walk(0)
+	maxChain := 0
+	for _, l := range t.leaves {
+		maxChain = max(maxChain, len(t.paths[l]))
+	}
+	t.tuple = make([]Elem, maxChain)
+	if !full {
+		t.trimWidths()
 	}
 	return t
+}
+
+// trimWidths narrows each leaf's table to the chain prefix the output
+// projection needs. With the leaves in depth-first order, the deepest
+// vertex a leaf's chain shares with any other leaf's is shared with a
+// neighbour in that order, so a table keeps the prefix up to its
+// neighbours' common vertices, extended to the output vertex when the
+// chain passes through it. Columns beyond that take part in no join
+// and are never read.
+func (t *twig) trimWidths() {
+	for i, l := range t.leaves {
+		w := 0
+		if i > 0 {
+			w = commonPrefix(t.paths[t.leaves[i-1]], t.paths[l])
+		}
+		if i+1 < len(t.leaves) {
+			w = max(w, commonPrefix(t.paths[l], t.paths[t.leaves[i+1]]))
+		}
+		if at := slices.Index(t.paths[l], t.g.Output); at >= 0 {
+			w = max(w, at+1)
+		}
+		t.sols[l].width = max(w, 1)
+	}
+}
+
+// commonPrefix is the length of a's and b's common prefix.
+func commonPrefix(a, b []pattern.VertexID) int {
+	n := 0
+	for n < len(a) && n < len(b) && a[n] == b[n] {
+		n++
+	}
+	return n
 }
 
 func (t *twig) isLeaf(q pattern.VertexID) bool { return len(t.g.Children[q]) == 0 }
@@ -182,120 +254,230 @@ func (t *twig) run() {
 // emit enumerates the root-to-leaf path solutions ending at the entry just
 // pushed on leaf's stack, filtering parent-child edges.
 func (t *twig) emit(leaf pattern.VertexID) {
-	chain := t.paths[leaf]
-	tuple := make([]Elem, len(chain))
-	var rec func(ci int, v pattern.VertexID, idx int)
-	rec = func(ci int, v pattern.VertexID, idx int) {
-		if idx < 0 {
-			return
-		}
-		entry := t.stacks[v][idx]
-		tuple[ci] = entry.elem
-		if ci == 0 {
-			sol := make([]Elem, len(tuple))
-			copy(sol, tuple)
-			t.sols[leaf] = append(t.sols[leaf], sol)
-			return
-		}
-		pv := t.parent[v]
-		for pi := entry.parent; pi >= 0; pi-- {
-			p := t.stacks[pv][pi]
-			if !p.elem.Contains(entry.elem) {
-				continue
-			}
-			if t.rel[v] == pattern.RelChild && p.elem.Level+1 != entry.elem.Level {
-				continue
-			}
-			rec(ci-1, pv, pi)
-		}
+	ci := len(t.paths[leaf]) - 1
+	t.emitFrom(leaf, ci, leaf, len(t.stacks[leaf])-1)
+}
+
+// emitFrom binds path position ci to stacks[v][idx] and recurses towards
+// the root, appending each completed tuple to leaf's solution table. A
+// trimmed tuple equal to the table's last row (sibling leaf matches
+// under the same prefix) is not stored twice.
+func (t *twig) emitFrom(leaf pattern.VertexID, ci int, v pattern.VertexID, idx int) {
+	if idx < 0 {
+		return
 	}
-	rec(len(chain)-1, leaf, len(t.stacks[leaf])-1)
+	entry := t.stacks[v][idx]
+	t.tuple[ci] = entry.elem
+	if ci == 0 {
+		t.emitted++
+		sols := &t.sols[leaf]
+		tuple := t.tuple[:sols.width]
+		if n := sols.rows(); n > 0 && slices.Equal(sols.row(n-1), tuple) {
+			return
+		}
+		sols.cells = append(sols.cells, tuple...)
+		return
+	}
+	pv := t.parent[v]
+	for pi := entry.parent; pi >= 0; pi-- {
+		p := t.stacks[pv][pi]
+		if !p.elem.Contains(entry.elem) {
+			continue
+		}
+		if t.rel[v] == pattern.RelChild && p.elem.Level+1 != entry.elem.Level {
+			continue
+		}
+		t.emitFrom(leaf, ci-1, pv, pi)
+	}
 }
 
 // mergeRows joins the per-leaf path-solution tables on shared vertices;
 // it returns the full twig-match table and the column index per vertex.
-func (t *twig) mergeRows() ([][]Elem, map[pattern.VertexID]int) {
+// Rows are matched through a chained hash index on the shared columns
+// (see index), so the join allocates nothing per row or key.
+func (t *twig) mergeRows() (table, map[pattern.VertexID]int) {
 	if len(t.leaves) == 0 {
-		return nil, nil
+		return table{}, nil
 	}
 	cols := t.paths[t.leaves[0]]
-	rows := make([][]Elem, len(t.sols[t.leaves[0]]))
-	copy(rows, t.sols[t.leaves[0]])
+	rows := t.sols[t.leaves[0]]
 	colIdx := map[pattern.VertexID]int{}
 	for i, v := range cols {
 		colIdx[v] = i
 	}
+	var ix index
 	for _, leaf := range t.leaves[1:] {
 		chain := t.paths[leaf]
-		// Shared columns: the common root-path prefix.
-		var shared []pattern.VertexID
-		for _, v := range chain {
-			if _, ok := colIdx[v]; ok {
-				shared = append(shared, v)
+		// The chain vertices already in the table are a prefix of the
+		// chain (a vertex is there only with all its ancestors); they
+		// key the join, the rest of the chain becomes new columns.
+		shared := 0
+		ix.cols = ix.cols[:0]
+		for ; shared < len(chain); shared++ {
+			c, ok := colIdx[chain[shared]]
+			if !ok {
+				break
+			}
+			ix.cols = append(ix.cols, c)
+		}
+		ix.build(rows)
+		sols := t.sols[leaf]
+		joined := table{width: rows.width + len(chain) - shared}
+		for si := 0; si < sols.rows(); si++ {
+			sol := sols.row(si)
+			for ri := ix.first(sol); ri >= 0; ri = ix.next(ri, sol) {
+				joined.cells = append(joined.cells, rows.row(ri)...)
+				joined.cells = append(joined.cells, sol[shared:]...)
 			}
 		}
-		index := make(map[string][]int)
-		for ri, row := range rows {
-			k := keyOf(row, colIdx, shared)
-			index[k] = append(index[k], ri)
-		}
-		chainIdx := map[pattern.VertexID]int{}
-		for i, v := range chain {
-			chainIdx[v] = i
-		}
-		var newCols []pattern.VertexID
-		for _, v := range chain {
-			if _, ok := colIdx[v]; !ok {
-				newCols = append(newCols, v)
-			}
-		}
-		var nextRows [][]Elem
-		for _, sol := range t.sols[leaf] {
-			for _, ri := range index[keyOf(sol, chainIdx, shared)] {
-				row := make([]Elem, len(cols)+len(newCols))
-				copy(row, rows[ri])
-				for i, v := range newCols {
-					row[len(cols)+i] = sol[chainIdx[v]]
-				}
-				nextRows = append(nextRows, row)
-			}
-		}
-		for _, v := range newCols {
+		for _, v := range chain[shared:] {
 			colIdx[v] = len(cols)
-			cols = append(cols, v)
+			cols = append(cols[:len(cols):len(cols)], v)
 		}
-		rows = nextRows
+		rows = joined
 	}
 	return rows, colIdx
 }
 
 // merge produces the distinct output-vertex matches in document order.
+// The leaf tables over their depth-first order form a join tree (each
+// table shares with all earlier ones only what it shares with its
+// predecessor), so one semi-join pass in each direction fully reduces
+// them: every row left takes part in some complete twig match. The
+// output column of any table holding the output vertex then is the
+// answer, with no twig-match row ever materialized.
 func (t *twig) merge() Stream {
-	rows, colIdx := t.mergeRows()
-	oi, ok := colIdx[t.g.Output]
-	if !ok {
-		return nil
-	}
-	seen := map[int32]bool{}
-	var out Stream
-	for _, row := range rows {
-		e := row[oi]
-		if !seen[e.Start] {
-			seen[e.Start] = true
-			out = append(out, e)
+	var ix index
+	reduce := func(a, b pattern.VertexID) {
+		n := commonPrefix(t.paths[a], t.paths[b])
+		n = min(n, t.sols[a].width, t.sols[b].width)
+		ix.cols = ix.cols[:0]
+		for c := range n {
+			ix.cols = append(ix.cols, c)
 		}
+		ix.build(t.sols[b])
+		t.sols[a] = ix.semijoin(t.sols[a])
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	return out
+	for i := len(t.leaves) - 1; i > 0; i-- {
+		reduce(t.leaves[i-1], t.leaves[i])
+	}
+	for i := 1; i < len(t.leaves); i++ {
+		reduce(t.leaves[i], t.leaves[i-1])
+	}
+	for _, l := range t.leaves {
+		oi := slices.Index(t.paths[l], t.g.Output)
+		if oi < 0 {
+			continue
+		}
+		sols := t.sols[l]
+		out := make(Stream, 0, sols.rows())
+		for ri := 0; ri < sols.rows(); ri++ {
+			out = append(out, sols.row(ri)[oi])
+		}
+		sortStream(out)
+		return dedupSorted(out)
+	}
+	return nil
 }
 
-func keyOf(row []Elem, idx map[pattern.VertexID]int, shared []pattern.VertexID) string {
-	var b strings.Builder
-	for _, v := range shared {
-		b.WriteString(strconv.Itoa(int(row[idx[v]].Start)))
-		b.WriteByte('|')
+// index is a chained hash index over key columns of a table's rows:
+// head maps a key hash to its first row, link chains rows with the same
+// hash. A probe key holds the key cells contiguously, in cols order;
+// probes compare the cells themselves, so hash collisions cost time,
+// never correctness.
+type index struct {
+	rows table
+	cols []int
+	head map[uint64]int32
+	link []int32
+	key  []Elem
+}
+
+// build indexes rows on ix.cols, reusing the index's storage from any
+// earlier build.
+func (ix *index) build(rows table) {
+	ix.rows = rows
+	if ix.head == nil {
+		ix.head = make(map[uint64]int32, rows.rows())
+	} else {
+		clear(ix.head)
 	}
-	return b.String()
+	ix.link = slices.Grow(ix.link[:0], rows.rows())[:rows.rows()]
+	for ri := rows.rows() - 1; ri >= 0; ri-- {
+		row := rows.row(ri)
+		ix.key = ix.key[:0]
+		for _, c := range ix.cols {
+			ix.key = append(ix.key, row[c])
+		}
+		h := keyHash(ix.key)
+		ix.link[ri] = -1
+		if j, ok := ix.head[h]; ok {
+			ix.link[ri] = j
+		}
+		ix.head[h] = int32(ri)
+	}
+}
+
+// first returns the first indexed row whose key columns equal the
+// leading cells of key, or -1.
+func (ix *index) first(key []Elem) int {
+	ri, ok := ix.head[keyHash(key[:len(ix.cols)])]
+	if !ok {
+		return -1
+	}
+	return ix.match(int(ri), key)
+}
+
+// next returns the indexed row after ri matching key, or -1.
+func (ix *index) next(ri int, key []Elem) int {
+	return ix.match(int(ix.link[ri]), key)
+}
+
+func (ix *index) match(ri int, key []Elem) int {
+	for ; ri >= 0; ri = int(ix.link[ri]) {
+		if ix.keyEqual(ix.rows.row(ri), key) {
+			return ri
+		}
+	}
+	return -1
+}
+
+// keyEqual reports whether row binds the same nodes in the key columns
+// as the leading cells of key.
+func (ix *index) keyEqual(row, key []Elem) bool {
+	for i, c := range ix.cols {
+		if row[c].Start != key[i].Start {
+			return false
+		}
+	}
+	return true
+}
+
+// semijoin keeps, in place, the rows of a whose leading cells match
+// some indexed row's key.
+func (ix *index) semijoin(a table) table {
+	w := 0
+	for ri := 0; ri < a.rows(); ri++ {
+		row := a.row(ri)
+		if ix.first(row) < 0 {
+			continue
+		}
+		copy(a.cells[w*a.width:], row)
+		w++
+	}
+	a.cells = a.cells[:w*a.width]
+	return a
+}
+
+// keyHash hashes the start positions of a key's cells (FNV-1a over the
+// positions).
+func keyHash(key []Elem) uint64 {
+	h := uint64(14695981039346656037)
+	for _, e := range key {
+		h ^= uint64(uint32(e.Start))
+		h *= 1099511628211
+	}
+	return h
 }
 
 // TwigCount returns the number of full twig matches (tuples), used by
@@ -304,5 +486,5 @@ func TwigCount(st *storage.Store, g *pattern.Graph) int {
 	t := newTwig(st, g)
 	t.run()
 	rows, _ := t.mergeRows()
-	return len(rows)
+	return rows.rows()
 }

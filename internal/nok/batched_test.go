@@ -3,6 +3,7 @@ package nok
 import (
 	"errors"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"xqp/internal/storage"
@@ -145,10 +146,11 @@ func TestBatchedInterrupt(t *testing.T) {
 	st := storage.FromDoc(xmark.Auction(2))
 	g := graphOf(t, "//item/name")
 	boom := errors.New("boom")
-	calls := 0
+	// Parallel workers share the interrupt closure, so the counter must
+	// be atomic.
+	var calls atomic.Int64
 	interrupt := func() error {
-		calls++
-		if calls > 2 {
+		if calls.Add(1) > 2 {
 			return boom
 		}
 		return nil
@@ -156,7 +158,7 @@ func TestBatchedInterrupt(t *testing.T) {
 	if _, err := MatchOutputBatched(st, g, []storage.NodeRef{st.Root()}, interrupt, nil); !errors.Is(err, boom) {
 		t.Fatalf("serial err = %v, want boom", err)
 	}
-	calls = 0
+	calls.Store(0)
 	if _, _, err := MatchOutputParallelBatched(st, g, []storage.NodeRef{st.Root()}, 4, interrupt, nil); !errors.Is(err, boom) {
 		t.Fatalf("parallel err = %v, want boom", err)
 	}

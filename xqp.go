@@ -82,8 +82,9 @@ type Options struct {
 	// reproducing worst-case pipelined evaluation (never use normally).
 	// xqvet:cachekey exec-only
 	NoStepDedup bool
-	// CostBased installs the synopsis-driven strategy chooser (package
-	// cost) when Strategy is Auto. xqvet:cachekey exec-only
+	// CostBased is accepted for compatibility and has no effect: with
+	// Strategy Auto every τ dispatch is chosen by the synopsis-driven
+	// cost model (package cost). xqvet:cachekey exec-only
 	CostBased bool
 	// DisableAnalyzer turns off the static analysis pass (diagnostics,
 	// empty-subplan pruning, pattern cardinality annotation) that normally
@@ -101,8 +102,8 @@ type Options struct {
 	Trace bool
 	// Parallelism bounds the intra-query worker pool for pattern
 	// matching: 0 and 1 evaluate serially, N > 1 partitions τ across up
-	// to N goroutines, negative resolves to runtime.NumCPU(). With
-	// CostBased set the model still decides serial vs parallel per
+	// to N goroutines, negative resolves to runtime.NumCPU(). Under
+	// Strategy Auto the cost model still decides serial vs parallel per
 	// dispatch; a forced Strategy parallelizes unconditionally.
 	// xqvet:cachekey exec-only
 	Parallelism int
@@ -114,9 +115,9 @@ type Options struct {
 	// elsewhere. Results are bit-identical to interpreted execution.
 	Batched bool
 	// Calibrate feeds every τ dispatch record into the database's
-	// per-document calibrators (cost/calibrate) and, with CostBased set,
-	// lets the fitted scales, batch factors and parallel-degree table
-	// tune the chooser. Results are unchanged — only strategy choice is.
+	// per-document calibrators (cost/calibrate) and, under Strategy
+	// Auto, lets the fitted scales, batch factors and parallel-degree
+	// table tune the chooser. Results are unchanged — only strategy choice is.
 	// xqvet:cachekey exec-only
 	Calibrate bool
 }
@@ -250,6 +251,10 @@ type Query struct {
 	opts   Options
 	st     *storage.Store
 	syn    *stats.Synopsis
+	// ests prices every τ pattern of Plan once against the primary
+	// document (nil when compiled without one), so runs on that document
+	// apply the chooser without re-walking its synopsis.
+	ests cost.Estimates
 }
 
 // Compile parses, translates, analyzes and optimizes a query without a
@@ -263,18 +268,26 @@ func Compile(src string, opts Options) (*Query, error) {
 // enabling the analyzer's synopsis-based unmatchability checks and
 // pattern-cardinality annotation for the cost model.
 func (db *Database) Compile(src string, opts Options) (*Query, error) {
-	return compileQuery(src, opts, db.store, db.synopsis())
+	m := db.model(db.store)
+	if m == nil {
+		return compileQuery(src, opts, db.store, nil)
+	}
+	q, err := compileQuery(src, opts, db.store, m.Synopsis())
+	if err != nil {
+		return nil, err
+	}
+	if opts.Strategy == Auto || opts.Trace || opts.Calibrate {
+		q.ests = m.EstimatePlan(q.Plan) // read by the chooser and the estimator
+	}
+	return q, nil
 }
 
-// synopsis returns the primary document's synopsis (built at load time;
-// nil without a primary document).
-func (db *Database) synopsis() *stats.Synopsis {
+// model returns a registered store's cost model (nil for stores the
+// database did not load, such as γ-constructed temporaries).
+func (db *Database) model(st *storage.Store) *cost.Model {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	if m, ok := db.models[db.store]; ok {
-		return m.Synopsis()
-	}
-	return nil
+	return db.models[st]
 }
 
 // choice is the executor's cost-based chooser hook: it resolves the
@@ -282,7 +295,7 @@ func (db *Database) synopsis() *stats.Synopsis {
 // (γ-constructed temporaries) run NoK. workers is the query's worker
 // budget, so the model can weigh serial against partitioned variants;
 // calibrated selects the store's calibrator as the model's tuner.
-func (db *Database) choice(st *storage.Store, g *pattern.Graph, rootAnchored bool, workers int, calibrated bool) exec.Choice {
+func (db *Database) choice(q *Query, st *storage.Store, g *pattern.Graph, rootAnchored bool, workers int, calibrated bool) exec.Choice {
 	db.mu.RLock()
 	m := db.models[st]
 	cal := db.cals[st]
@@ -294,7 +307,19 @@ func (db *Database) choice(st *storage.Store, g *pattern.Graph, rootAnchored boo
 	if calibrated && cal != nil {
 		tuner = cal
 	}
-	return m.ChoiceTuned(g, rootAnchored, workers, tuner)
+	return m.ChoiceFor(q.estimate(m, st, g), g, rootAnchored, workers, tuner)
+}
+
+// estimate returns the raw estimate of g on st: the one priced at
+// compile time when st is the document the query was compiled against,
+// else a fresh walk of m's synopsis.
+func (q *Query) estimate(m *cost.Model, st *storage.Store, g *pattern.Graph) cost.Estimate {
+	if st == q.st {
+		if e, ok := q.ests[g]; ok {
+			return e
+		}
+	}
+	return m.Estimate(g)
 }
 
 // Calibrator returns the primary document's calibrator (nil without a
@@ -325,14 +350,12 @@ func (db *Database) CalibrationStats() (observed, regret int64) {
 
 // estimate is the executor's trace estimator hook: cost estimates for
 // strategy records without influencing the executed strategy.
-func (db *Database) estimate(st *storage.Store, g *pattern.Graph) *exec.CostEstimate {
-	db.mu.RLock()
-	m := db.models[st]
-	db.mu.RUnlock()
+func (db *Database) estimate(q *Query, st *storage.Store, g *pattern.Graph) *exec.CostEstimate {
+	m := db.model(st)
 	if m == nil {
 		return nil
 	}
-	return m.Estimate(g).ForExec()
+	return q.estimate(m, st, g).ForExec()
 }
 
 func compileQuery(src string, opts Options, st *storage.Store, syn *stats.Synopsis) (*Query, error) {
@@ -419,15 +442,17 @@ func (db *Database) Run(q *Query) (*Result, error) {
 		Parallelism: q.opts.Parallelism,
 		Batched:     q.opts.Batched,
 	}
-	if q.opts.CostBased && eo.Strategy == Auto {
+	if eo.Strategy == Auto {
 		workers := q.opts.Parallelism
 		calibrated := q.opts.Calibrate
 		eo.Chooser = func(st *storage.Store, g *pattern.Graph, rootAnchored bool) exec.Choice {
-			return db.choice(st, g, rootAnchored, workers, calibrated)
+			return db.choice(q, st, g, rootAnchored, workers, calibrated)
 		}
 	}
 	if q.opts.Trace || q.opts.Calibrate {
-		eo.Estimator = db.estimate
+		eo.Estimator = func(st *storage.Store, g *pattern.Graph) *exec.CostEstimate {
+			return db.estimate(q, st, g)
+		}
 	}
 	if q.opts.Calibrate {
 		eo.Record = func(st *storage.Store, g *pattern.Graph, rec *exec.StrategyRecord) {
@@ -479,12 +504,12 @@ func (db *Database) Explain(src string) (string, error) {
 	return q.Explain(), nil
 }
 
-// ExplainAnalyze compiles and executes a query with tracing and the
-// cost model enabled, and renders the execution trace: per operator the
+// ExplainAnalyze compiles and executes a query with tracing enabled,
+// and renders the execution trace: per operator the
 // call count, output cardinality and wall time, and per τ the cost
 // estimates, chosen and executed strategies, and actual work counters.
 func (db *Database) ExplainAnalyze(src string) (string, error) {
-	res, err := db.QueryWith(src, Options{CostBased: true, Trace: true})
+	res, err := db.QueryWith(src, Options{Trace: true})
 	if err != nil {
 		return "", err
 	}
