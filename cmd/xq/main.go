@@ -57,7 +57,6 @@ func run(stdin io.Reader, stdout, stderr io.Writer, argv []string) int {
 	metrics := fs.Bool("metrics", false, "print physical operator counters after the result")
 	indent := fs.Bool("indent", false, "pretty-print node results with indentation")
 	workers := fs.Int("j", 0, "worker budget for partitioned pattern matching (0 or 1: serial, -1: one per CPU)")
-	batched := fs.Bool("batched", false, "run pattern matching batch-at-a-time on compiled batch kernels")
 	calib := fs.Bool("calibrate", false, "feed dispatch records into the cost-model calibrator; under -strategy auto the fitted constants tune strategy choice")
 	watch := fs.String("watch", "", "subscribe to a continuous query on the xqd daemon at this base URL (-doc names the server document)")
 	watchCount := fs.Int("n", 0, "with -watch: exit after this many deltas (0: stream forever)")
@@ -97,7 +96,7 @@ func run(stdin io.Reader, stdout, stderr io.Writer, argv []string) int {
 
 	// StrictDocs: a doc() reference that cannot be resolved is an error,
 	// never a silent fallback to the default document.
-	opts := xqp.Options{DisableRewrites: *noRewrite, DisableAnalyzer: *noAnalyze, CostBased: *costBased, Trace: *trace, StrictDocs: true, Parallelism: *workers, Batched: *batched, Calibrate: *calib}
+	opts := xqp.Options{DisableRewrites: *noRewrite, DisableAnalyzer: *noAnalyze, CostBased: *costBased, Trace: *trace, StrictDocs: true, Parallelism: *workers, Calibrate: *calib}
 	switch *strategy {
 	case "auto":
 		opts.Strategy = xqp.Auto

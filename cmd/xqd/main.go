@@ -360,9 +360,6 @@ type queryRequest struct {
 	// Parallel is the worker budget for partitioned pattern matching
 	// (0 or 1: serial; N>1: up to N workers; -1: one per CPU).
 	Parallel int `json:"parallel,omitempty"`
-	// Batched runs pattern matching batch-at-a-time on compiled batch
-	// kernels.
-	Batched bool `json:"batched,omitempty"`
 	// Tenant is the multi-tenancy key: it selects the plan-cache
 	// partition and the admission-quota bucket. The X-Tenant header and
 	// ?tenant= query parameter set it too (the body field wins).
@@ -399,7 +396,6 @@ func handleQuery(eng *xqp.Engine, w http.ResponseWriter, r *http.Request) {
 		req.Strategy = q.Get("strategy")
 		req.CostBased = boolParam(q.Get("cost"))
 		req.Trace = boolParam(q.Get("trace"))
-		req.Batched = boolParam(q.Get("batched"))
 		req.Tenant = q.Get("tenant")
 		if p := q.Get("parallel"); p != "" {
 			n, err := strconv.Atoi(p)
@@ -437,7 +433,6 @@ func handleQuery(eng *xqp.Engine, w http.ResponseWriter, r *http.Request) {
 		DisableRewrites: req.NoRewrite,
 		DisableAnalyzer: req.NoAnalyze,
 		Parallelism:     req.Parallel,
-		Batched:         req.Batched,
 		Tenant:          req.Tenant,
 	}
 	var ok bool

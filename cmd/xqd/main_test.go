@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 
@@ -84,6 +85,39 @@ func TestQueryPost(t *testing.T) {
 	}
 	if qr.Count != 1 || qr.Items[0] != "<title>TCP/IP Illustrated</title>" {
 		t.Fatalf("resp = %+v", qr)
+	}
+}
+
+// TestQueryBatchedAccepted: batched execution is the cost model's
+// choice, not a request option, but clients that still ask for it with
+// ?batched=1 or a "batched":true body get the same answer as without.
+func TestQueryBatchedAccepted(t *testing.T) {
+	srv := newTestServer(t)
+	q := "/query?doc=bib&q=" + url.QueryEscape(`//book[price > 40.0]/title`)
+	var want, got queryResponse
+	getJSON(t, srv.URL+q, http.StatusOK, &want)
+	if want.Count != 1 {
+		t.Fatalf("resp = %+v", want)
+	}
+	getJSON(t, srv.URL+q+"&batched=1", http.StatusOK, &got)
+	if strings.Join(got.Items, "") != strings.Join(want.Items, "") {
+		t.Fatalf("?batched=1: %q, want %q", got.Items, want.Items)
+	}
+	body := `{"doc":"bib","query":"//book[price > 40.0]/title","batched":true}`
+	resp, err := http.Post(srv.URL+"/query", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d", resp.StatusCode)
+	}
+	got = queryResponse{}
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(got.Items, "") != strings.Join(want.Items, "") {
+		t.Fatalf(`"batched":true: %q, want %q`, got.Items, want.Items)
 	}
 }
 

@@ -139,7 +139,6 @@ func (s *routerServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		req.Query = q.Get("q")
 		req.Strategy = q.Get("strategy")
 		req.CostBased = boolParam(q.Get("cost"))
-		req.Batched = boolParam(q.Get("batched"))
 		req.Tenant = q.Get("tenant")
 	case http.MethodPost:
 		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxQueryBody))
@@ -165,7 +164,6 @@ func (s *routerServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 	opts := xqp.EngineQueryOptions{
 		CostBased: req.CostBased,
 		NoCache:   req.NoCache,
-		Batched:   req.Batched,
 		Tenant:    req.Tenant,
 	}
 	var ok bool

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -77,7 +78,8 @@ func TestRouterHTTPDifferential(t *testing.T) {
 		{"nok", `"strategy":"nok"`, xqp.EngineQueryOptions{Strategy: xqp.NoK}},
 		{"twigstack", `"strategy":"twigstack"`, xqp.EngineQueryOptions{Strategy: xqp.TwigStack}},
 		{"auto-cost", `"cost":true`, xqp.EngineQueryOptions{CostBased: true}},
-		{"nok-batched", `"strategy":"nok","batched":true`, xqp.EngineQueryOptions{Strategy: xqp.NoK, Batched: true}},
+		// "batched" is no longer a request field; old clients still send it.
+		{"nok-batched", `"strategy":"nok","batched":true`, xqp.EngineQueryOptions{Strategy: xqp.NoK}},
 	}
 	queries := []string{`//book/title`, `/bib/book[price > 40]/title`, `//book/@year`}
 	for name := range docs {
@@ -108,6 +110,41 @@ func TestRouterHTTPDifferential(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRouterBatchedAccepted: batched execution is the cost model's
+// choice, not a request option, but clients that still ask for it with
+// ?batched=1 or a "batched":true body get the same answer as without.
+func TestRouterBatchedAccepted(t *testing.T) {
+	routerSrv, _ := newRouterFixture(t, routerDocs())
+	const src = `/bib/book[price > 40]/title`
+	items := func(resp *http.Response, err error) string {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d", resp.StatusCode)
+		}
+		var routed routedResponse
+		if err := json.NewDecoder(resp.Body).Decode(&routed); err != nil {
+			t.Fatal(err)
+		}
+		return strings.Join(routed.Items, "")
+	}
+	get := routerSrv.URL + "/query?doc=d3.xml&q=" + url.QueryEscape(src)
+	want := items(http.Get(get))
+	if want == "" {
+		t.Fatal("no results")
+	}
+	if got := items(http.Get(get + "&batched=1")); got != want {
+		t.Fatalf("?batched=1: %q, want %q", got, want)
+	}
+	body := fmt.Sprintf(`{"doc":"d3.xml","query":%q,"batched":true}`, src)
+	if got := items(http.Post(routerSrv.URL+"/query", "application/json", strings.NewReader(body))); got != want {
+		t.Fatalf(`"batched":true: %q, want %q`, got, want)
 	}
 }
 

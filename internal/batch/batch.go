@@ -110,17 +110,6 @@ func Compile(g *pattern.Graph) (*Program, error) {
 	return p, nil
 }
 
-// For returns the graph's precompiled Program (stamped by the compile
-// pipeline into Graph.Compiled) or compiles one ad hoc. It never writes
-// the graph: stamping happens only during single-threaded compilation,
-// executors treat the field as read-only.
-func For(g *pattern.Graph) (*Program, error) {
-	if p, ok := g.Compiled.(*Program); ok && p != nil {
-		return p, nil
-	}
-	return Compile(g)
-}
-
 // Bound is a Program resolved against one store's vocabulary. It is
 // immutable after Bind and safe to share across goroutines; per-task
 // mutable state lives in Kernels.

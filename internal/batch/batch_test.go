@@ -70,38 +70,6 @@ func TestCompileTooLarge(t *testing.T) {
 	if _, err := Compile(g); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
 	}
-	if _, err := For(g); !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("For err = %v, want ErrTooLarge", err)
-	}
-}
-
-// TestForUsesStamp: a Program stamped on the graph by the compiler is
-// reused; an unstamped graph gets an ad-hoc compile each call.
-func TestForUsesStamp(t *testing.T) {
-	g := graphOf(t, "//a/b")
-	p1, err := For(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := For(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1 == p2 {
-		t.Fatal("unstamped graph returned a cached Program")
-	}
-	stamped, err := Compile(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Compiled = stamped
-	p3, err := For(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p3 != stamped {
-		t.Fatal("For ignored the stamped Program")
-	}
 }
 
 // TestBoundDead: binding against a document missing a required tag must

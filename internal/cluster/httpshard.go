@@ -52,7 +52,6 @@ type shardQueryRequest struct {
 	NoAnalyze bool   `json:"no_analyze,omitempty"`
 	TimeoutMS int    `json:"timeout_ms,omitempty"`
 	Parallel  int    `json:"parallel,omitempty"`
-	Batched   bool   `json:"batched,omitempty"`
 	Tenant    string `json:"tenant,omitempty"`
 }
 
@@ -76,7 +75,6 @@ func (s *HTTPShard) Query(ctx context.Context, doc, src string, opts xqp.EngineQ
 		NoRewrite: opts.DisableRewrites,
 		NoAnalyze: opts.DisableAnalyzer,
 		Parallel:  opts.Parallelism,
-		Batched:   opts.Batched,
 		Tenant:    opts.Tenant,
 	}
 	if req.Tenant == "" {

@@ -7,7 +7,6 @@ package compile
 
 import (
 	"xqp/internal/analyze"
-	"xqp/internal/batch"
 	"xqp/internal/core"
 	"xqp/internal/parser"
 	"xqp/internal/rewrite"
@@ -32,13 +31,6 @@ type Options struct {
 	// Rewrites selects individual rules when DisableRewrites is false.
 	// The zero value means "all rules".
 	Rewrites *rewrite.Options
-	// Batched adds the batch-compilation stage: every τ pattern graph
-	// that fits the kernel bound (batch.MaxVertices) is lowered to a
-	// compiled batch Program and stamped on the graph, so execution
-	// binds it per store instead of re-compiling per dispatch. Plans
-	// compiled with it carry different artifacts, hence the
-	// fingerprint bit.
-	Batched bool
 }
 
 // Fingerprint packs the plan-shaping options into a cache-key component.
@@ -60,9 +52,6 @@ func (o Options) Fingerprint() uint32 {
 				fp |= 1 << (3 + uint(i))
 			}
 		}
-	}
-	if o.Batched {
-		fp |= 1 << 7
 	}
 	return fp
 }
@@ -110,34 +99,6 @@ func Compile(src string, opts Options, st *storage.Store, syn *stats.Synopsis) (
 	if !opts.DisableAnalyzer {
 		analyze.AnnotateGraphs(plan, st, syn)
 	}
-	if opts.Batched {
-		compileBatched(plan)
-	}
 	c.Plan = plan
 	return c, nil
-}
-
-// compileBatched is the batch-compilation stage: it lowers every τ
-// pattern graph into a compiled batch Program and stamps it on the
-// graph (pattern.Graph.Compiled), so execution binds the program per
-// store instead of recompiling per dispatch. Patterns the kernels
-// cannot represent (over batch.MaxVertices vertices) stay unstamped;
-// the executor falls back to the interpreter for those with a recorded
-// reason. Stamping happens here, single-threaded, before the plan is
-// published — the graph is immutable afterwards, keeping concurrent
-// executions race-free.
-func compileBatched(plan core.Op) int {
-	n := 0
-	core.Walk(plan, func(o core.Op) bool {
-		t, ok := o.(*core.TPMOp)
-		if !ok || t.Graph.Compiled != nil {
-			return true
-		}
-		if p, err := batch.Compile(t.Graph); err == nil {
-			t.Graph.Compiled = p
-			n++
-		}
-		return true
-	})
-	return n
 }

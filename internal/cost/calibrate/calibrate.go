@@ -10,10 +10,12 @@
 //     the scaled estimates into the observed mean actual cost of each
 //     family — the chooser then simply picks the arm that has been
 //     cheapest in practice;
-//   - fitted batched-execution factors replacing batchNoKFactor /
-//     batchStreamFactor, from observed wall time per unit of counted
-//     work on batched vs interpreted dispatches (the work counters are
-//     mode-independent, so wall time is the only separating signal);
+//   - a fitted batched-execution factor replacing batchNoKFactor, from
+//     observed wall time per unit of counted work on batched vs
+//     interpreted serial NoK dispatches (the work counters are
+//     mode-independent, so wall time is the only separating signal;
+//     batched execution is a mode of NoK alone, so no other strategy
+//     feeds it);
 //   - a learned parallel-degree table replacing the static NumCPU cap,
 //     from the overlap of observed per-partition spans (Σdur / max dur
 //     is the speedup the fan-out actually achieved).
@@ -51,7 +53,7 @@ const (
 	// chooser should trust an extreme correction.
 	scaleMin = 0.05
 	scaleMax = 20.0
-	// factorMin/factorMax clamp the fitted batched factors.
+	// factorMin/factorMax clamp the fitted batched factor.
 	factorMin = 0.05
 	factorMax = 2.0
 )
@@ -74,8 +76,8 @@ type shapeStats struct {
 	arms [exec.NumStrategies]armStats
 }
 
-// speedAcc accumulates wall time against counted work for one batched
-// kernel family, on both the interpreted and the batched side.
+// speedAcc accumulates wall time against counted work for the batched
+// NoK kernel, on both the interpreted and the batched side.
 type speedAcc struct {
 	interpNS, interpWork float64
 	interpCount          int64
@@ -97,7 +99,6 @@ type Calibrator struct {
 	mu       sync.RWMutex
 	shapes   map[string]*shapeStats // guarded by mu
 	batchNoK speedAcc               // guarded by mu
-	batchStr speedAcc               // guarded by mu
 	par      map[int]*parAcc        // guarded by mu
 	observed int64                  // guarded by mu
 	regret   int64                  // guarded by mu
@@ -176,27 +177,19 @@ func (c *Calibrator) Observe(g *pattern.Graph, rec *exec.StrategyRecord) {
 		arm.actSum += actual
 	}
 
-	// Batched-speed fit: serial dispatches only (the parallel paths
+	// Batched-speed fit: serial NoK dispatches only (the parallel paths
 	// replace the kernels' scans with their own), and only when both
 	// signals are present.
-	if !rec.Parallel && rec.Dur > 0 && actual > 0 {
-		var acc *speedAcc
-		switch family(rec.Executed) {
-		case 1:
-			acc = &c.batchStr
-		case 0:
-			acc = &c.batchNoK
-		}
-		if acc != nil {
-			if rec.Batched {
-				acc.batchNS += float64(rec.Dur)
-				acc.batchWork += actual
-				acc.batchCount++
-			} else {
-				acc.interpNS += float64(rec.Dur)
-				acc.interpWork += actual
-				acc.interpCount++
-			}
+	if rec.Executed == exec.StrategyNoK && !rec.Parallel && rec.Dur > 0 && actual > 0 {
+		acc := &c.batchNoK
+		if rec.Batched {
+			acc.batchNS += float64(rec.Dur)
+			acc.batchWork += actual
+			acc.batchCount++
+		} else {
+			acc.interpNS += float64(rec.Dur)
+			acc.interpWork += actual
+			acc.interpCount++
 		}
 	}
 
@@ -300,26 +293,17 @@ func familyScale(ss *shapeStats, arms ...exec.Strategy) (float64, bool) {
 	return clamp(act/est, scaleMin, scaleMax), true
 }
 
-// BatchFactors implements cost.Tuner: the fitted batched-vs-interpreted
-// cost ratios, from observed wall time per unit of counted work on each
-// side. Falls back to the static constants (reported by cost via the
-// nil-Tuner path) by returning them unchanged when either side of a
-// family lacks observations.
-func (c *Calibrator) BatchFactors() (nokFactor, streamFactor float64) {
-	staticNoK, staticStream := cost.StaticBatchFactors()
+// BatchFactor implements cost.Tuner: the fitted batched-vs-interpreted
+// NoK cost ratio, from observed wall time per unit of counted work on
+// each side, clamped to [factorMin, factorMax]. It stays at the static
+// constant until both sides have minObservations records.
+func (c *Calibrator) BatchFactor() float64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	nokFactor = fitFactor(&c.batchNoK, staticNoK)
-	streamFactor = fitFactor(&c.batchStr, staticStream)
-	return nokFactor, streamFactor
-}
-
-// fitFactor computes one family's batched/interpreted speed ratio, or
-// the static fallback. Caller holds c.mu.
-func fitFactor(acc *speedAcc, static float64) float64 {
+	acc := &c.batchNoK
 	if acc.interpCount < minObservations || acc.batchCount < minObservations ||
 		acc.interpWork <= 0 || acc.batchWork <= 0 || acc.interpNS <= 0 {
-		return static
+		return cost.StaticBatchFactor()
 	}
 	interpPerUnit := acc.interpNS / acc.interpWork
 	batchPerUnit := acc.batchNS / acc.batchWork

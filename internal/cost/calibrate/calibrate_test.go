@@ -130,8 +130,7 @@ func TestRegretCountsBeatenPicks(t *testing.T) {
 func TestBatchFactorsFit(t *testing.T) {
 	c := New()
 	g := graphOf(t, "/a/b")
-	static := func() (float64, float64) { return New().BatchFactors() }
-	sNoK, sStream := static()
+	sNoK := cost.StaticBatchFactor()
 	// Interpreted serial NoK: 10 ns per work unit.
 	for i := 0; i < minObservations; i++ {
 		r := rec(exec.StrategyNoK, nil, 100)
@@ -139,7 +138,7 @@ func TestBatchFactorsFit(t *testing.T) {
 		c.Observe(g, r)
 	}
 	// One side alone keeps the static factor.
-	if nok, _ := c.BatchFactors(); nok != sNoK {
+	if nok := c.BatchFactor(); nok != sNoK {
 		t.Fatalf("one-sided fit replaced the static factor: %v", nok)
 	}
 	// Batched serial NoK: 2 ns per work unit → factor 0.2.
@@ -149,21 +148,23 @@ func TestBatchFactorsFit(t *testing.T) {
 		r.Batched = true
 		c.Observe(g, r)
 	}
-	nok, stream := c.BatchFactors()
-	if nok < 0.199 || nok > 0.201 {
-		t.Fatalf("fitted NoK factor = %v, want 0.2", nok)
+	before := c.BatchFactor()
+	if before < 0.199 || before > 0.201 {
+		t.Fatalf("fitted NoK factor = %v, want 0.2", before)
 	}
-	if stream != sStream {
-		t.Fatalf("unobserved stream family drifted: %v", stream)
-	}
-	// Parallel dispatches must not feed the serial speed fit.
-	before, _ := c.BatchFactors()
+	// Parallel dispatches must not feed the serial speed fit, and the
+	// joins, which always run interpreted, feed no batch fit at all.
 	r := rec(exec.StrategyNoK, nil, 100)
 	r.Dur = 5000 * time.Nanosecond
 	r.Parallel = true
 	c.Observe(g, r)
-	if after, _ := c.BatchFactors(); after != before {
-		t.Fatalf("parallel record moved the serial fit: %v -> %v", before, after)
+	for i := 0; i < minObservations; i++ {
+		r := rec(exec.StrategyTwigStack, nil, 100)
+		r.Dur = 5000 * time.Nanosecond
+		c.Observe(g, r)
+	}
+	if after := c.BatchFactor(); after != before {
+		t.Fatalf("parallel or join records moved the serial NoK fit: %v -> %v", before, after)
 	}
 }
 

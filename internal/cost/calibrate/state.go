@@ -26,7 +26,9 @@ type State struct {
 	Regret   int64 `json:"regret"`
 	// Shapes holds the per-ShapeKey arm accumulators.
 	Shapes map[string]ShapeState `json:"shapes,omitempty"`
-	// Batch holds the batched-speed accumulators, keyed "nok"/"stream".
+	// Batch holds the batched-speed accumulator, keyed "nok". Snapshots
+	// from builds that also fitted a batched join-stream factor carry a
+	// "stream" entry too; it is validated and dropped on restore.
 	Batch map[string]SpeedState `json:"batch,omitempty"`
 	// Parallel holds the per-worker-budget degree accumulators, keyed
 	// by the decimal budget.
@@ -102,18 +104,11 @@ func (c *Calibrator) Snapshot() State {
 			s.Shapes = nil
 		}
 	}
-	batch := map[string]SpeedState{}
-	for name, acc := range map[string]*speedAcc{"nok": &c.batchNoK, "stream": &c.batchStr} {
-		if acc.interpCount == 0 && acc.batchCount == 0 {
-			continue
-		}
-		batch[name] = SpeedState{
+	if acc := &c.batchNoK; acc.interpCount > 0 || acc.batchCount > 0 {
+		s.Batch = map[string]SpeedState{"nok": {
 			InterpNS: acc.interpNS, InterpWork: acc.interpWork, InterpCount: acc.interpCount,
 			BatchNS: acc.batchNS, BatchWork: acc.batchWork, BatchCount: acc.batchCount,
-		}
-	}
-	if len(batch) > 0 {
-		s.Batch = batch
+		}}
 	}
 	if len(c.par) > 0 {
 		s.Parallel = make(map[string]ParState, len(c.par))
@@ -225,11 +220,10 @@ func (c *Calibrator) Restore(s State) error {
 		budget, _ := strconv.Atoi(key) // validated above
 		par[budget] = &parAcc{sum: pa.Sum, count: pa.Count}
 	}
-	toSpeed := func(st SpeedState) speedAcc {
-		return speedAcc{
-			interpNS: st.InterpNS, interpWork: st.InterpWork, interpCount: st.InterpCount,
-			batchNS: st.BatchNS, batchWork: st.BatchWork, batchCount: st.BatchCount,
-		}
+	nokSpeed := s.Batch["nok"] // a "stream" family has no accumulator left
+	batchNoK := speedAcc{
+		interpNS: nokSpeed.InterpNS, interpWork: nokSpeed.InterpWork, interpCount: nokSpeed.InterpCount,
+		batchNS: nokSpeed.BatchNS, batchWork: nokSpeed.BatchWork, batchCount: nokSpeed.BatchCount,
 	}
 
 	c.mu.Lock()
@@ -238,8 +232,7 @@ func (c *Calibrator) Restore(s State) error {
 	c.regret = s.Regret
 	c.shapes = shapes
 	c.par = par
-	c.batchNoK = toSpeed(s.Batch["nok"])
-	c.batchStr = toSpeed(s.Batch["stream"])
+	c.batchNoK = batchNoK
 	return nil
 }
 

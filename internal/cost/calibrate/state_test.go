@@ -131,6 +131,7 @@ func TestDecodeStateRejectsGarbage(t *testing.T) {
 		"negative arm sum":     `{"version":1,"observed":0,"regret":0,"shapes":{"Ra":{"arms":[{"strategy":"nok","count":1,"est_sum":-1,"act_sum":1}]}}}`,
 		"unknown batch family": `{"version":1,"observed":0,"regret":0,"batch":{"gpu":{}}}`,
 		"negative batch count": `{"version":1,"observed":0,"regret":0,"batch":{"nok":{"interp_count":-1}}}`,
+		"negative stream sum":  `{"version":1,"observed":0,"regret":0,"batch":{"stream":{"batch_ns":-1}}}`,
 		"bad parallel key":     `{"version":1,"observed":0,"regret":0,"parallel":{"zero":{"sum":1,"count":1}}}`,
 		"parallel budget 1":    `{"version":1,"observed":0,"regret":0,"parallel":{"1":{"sum":1,"count":1}}}`,
 		"huge parallel budget": `{"version":1,"observed":0,"regret":0,"parallel":{"9999":{"sum":1,"count":1}}}`,
@@ -140,6 +141,37 @@ func TestDecodeStateRejectsGarbage(t *testing.T) {
 		if _, err := DecodeState([]byte(src)); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
+	}
+}
+
+// TestRestoreDropsStreamFamily: snapshots written by builds that also
+// fitted a batched join-stream factor carry a "stream" batch family.
+// They must still decode and restore; the family is dropped, and the
+// NoK fit comes from the "nok" family alone.
+func TestRestoreDropsStreamFamily(t *testing.T) {
+	const src = `{"version":1,"observed":12,"regret":0,"batch":{` +
+		`"nok":{"interp_ns":3000,"interp_work":300,"interp_count":3,"batch_ns":600,"batch_work":300,"batch_count":3},` +
+		`"stream":{"interp_ns":3000,"interp_work":300,"interp_count":3,"batch_ns":9000,"batch_work":300,"batch_count":3}}}`
+	s, err := DecodeState([]byte(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New()
+	if err := c.Restore(s); err != nil {
+		t.Fatal(err)
+	}
+	if f := c.BatchFactor(); f < 0.199 || f > 0.201 {
+		t.Fatalf("restored NoK factor = %v, want 0.2", f)
+	}
+	data, err := c.Snapshot().Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), `"stream"`) {
+		t.Fatalf("re-encoded snapshot kept the stream family:\n%s", data)
+	}
+	if !strings.Contains(string(data), `"nok"`) {
+		t.Fatalf("re-encoded snapshot lost the nok family:\n%s", data)
 	}
 }
 

@@ -81,12 +81,6 @@ const (
 	// FindClose-backed navigation (calibrated on E19: the kernel runs
 	// the same upward/downward passes without per-node FindClose).
 	batchNoKFactor = 0.4
-	// batchStreamFactor is the static batched-stream ratio the
-	// calibrator reports until it has fitted one (Tuner.BatchFactors).
-	// No verdict reads it: batched join streams rebuild the interval
-	// arrays over the whole document per dispatch and lose to the plain
-	// streams on every measured workload, so joins are never batched.
-	batchStreamFactor = 0.7
 )
 
 // Tuner adjusts the model's verdicts from observed execution feedback.
@@ -98,9 +92,9 @@ type Tuner interface {
 	// Scale returns multiplicative corrections for the three
 	// strategy-family estimates of g (1 means keep the static model).
 	Scale(g *pattern.Graph) (nok, join, hybrid float64)
-	// BatchFactors returns the fitted batched-vs-interpreted cost
-	// ratios replacing batchNoKFactor and batchStreamFactor.
-	BatchFactors() (nokFactor, streamFactor float64)
+	// BatchFactor returns the fitted batched-vs-interpreted NoK cost
+	// ratio replacing batchNoKFactor.
+	BatchFactor() float64
 	// EffectiveWorkers returns the learned parallel degree achievable
 	// under a worker budget (replacing the static NumCPU cap); 0 means
 	// no observation yet, falling back to the static cap.
@@ -139,11 +133,11 @@ func ShapeKey(g *pattern.Graph) string {
 	return b.String()
 }
 
-// StaticBatchFactors exposes the hand-tuned batched-execution factors,
-// so the calibration layer can fall back to them (and tests can pin
-// verdict boundaries) without duplicating the constants.
-func StaticBatchFactors() (nokFactor, streamFactor float64) {
-	return batchNoKFactor, batchStreamFactor
+// StaticBatchFactor exposes the hand-tuned batched-execution factor,
+// so the calibration layer can fall back to it (and tests can pin
+// verdict boundaries) without duplicating the constant.
+func StaticBatchFactor() float64 {
+	return batchNoKFactor
 }
 
 // ActualCost converts a matcher's actual work counters into the model's
@@ -279,33 +273,10 @@ func (m *Model) Choice(g *pattern.Graph, rootAnchored bool) exec.Choice {
 	return exec.Choice{Strategy: chooseFrom(e, g, rootAnchored), Estimate: e.ForExec()}
 }
 
-// ChoiceParallel is Choice with a parallelism verdict for an executor
-// worker budget: after picking the cheapest strategy it compares that
-// strategy's partitioned-variant estimate (estimated partitions ×
-// per-partition work + merge cost) against the serial one. The modeled
-// speedup divides by the machine's actual cores — min(workers,
-// runtime.NumCPU()) — so on a single-core host the model never prefers
-// the parallel variant even under a large worker budget.
-func (m *Model) ChoiceParallel(g *pattern.Graph, rootAnchored bool, workers int) exec.Choice {
-	ch := m.ChoiceTuned(g, rootAnchored, workers, nil)
-	ch.Batched = false
-	return ch
-}
-
-// ChoiceBatched is ChoiceParallel with a batched-execution verdict:
-// after picking the strategy and the serial/parallel mode it asks
-// whether the compiled batch kernels would beat the interpreted
-// matcher for that plan. Patterns the kernels cannot compile (over
-// batch.MaxVertices vertices) and strategies without a batched mode
-// (Hybrid) stay interpreted.
-func (m *Model) ChoiceBatched(g *pattern.Graph, rootAnchored bool, workers int) exec.Choice {
-	return m.ChoiceTuned(g, rootAnchored, workers, nil)
-}
-
 // ChoiceTuned is the full chooser pipeline — strategy, parallel and
 // batched verdicts — with an optional Tuner whose fitted corrections
 // replace the static constants: per-shape estimate scales steer the
-// strategy pick, fitted batch factors the batched verdict, and the
+// strategy pick, the fitted batch factor the batched verdict, and the
 // learned parallel-degree table the modeled fan-out speedup. The
 // Choice's Estimate always carries the raw (untuned) model estimate,
 // so downstream calibration keeps fitting against a stable baseline
@@ -344,7 +315,7 @@ func (m *Model) ChoiceFor(e Estimate, g *pattern.Graph, rootAnchored bool, worke
 	}
 	bNoK := batchNoKFactor
 	if t != nil {
-		bNoK, _ = t.BatchFactors()
+		bNoK = t.BatchFactor()
 	}
 	ch.Batched = batchedVerdict(te, s, ch.Parallel, eff, float64(m.syn.NodeCount()), bNoK)
 	return ch
@@ -394,20 +365,17 @@ func (m *Model) WithinCost(g *pattern.Graph, candidates int) float64 {
 // two global passes once a descendant edge appears. Under parallel
 // dispatch both sides divide across the effective workers; the
 // parSetup/per-partition/merge overheads are common to both and left
-// out. The joins are never batched: the batched streams rebuild the
-// interval arrays over the whole document per dispatch, and the hybrid
-// matcher has no batched mode.
+// out. Only NoK has a batched mode, so every other pick stays
+// interpreted.
 func batchedVerdict(e Estimate, s exec.Strategy, parallel bool, eff, nodes, bNoK float64) bool {
-	switch s {
-	case exec.StrategyTwigStack, exec.StrategyPathStack, exec.StrategyHybrid:
+	if s != exec.StrategyNoK {
 		return false
-	default:
-		interp, kernel := e.NoK, nodes*bNoK
-		if parallel {
-			interp, kernel = interp/eff, kernel/eff
-		}
-		return kernel+batchSetup < interp
 	}
+	interp, kernel := e.NoK, nodes*bNoK
+	if parallel {
+		interp, kernel = interp/eff, kernel/eff
+	}
+	return kernel+batchSetup < interp
 }
 
 // NoKParallel models the partitioned NoK matcher under a worker

@@ -163,12 +163,12 @@ func TestBatchedVerdictKeepsChildPathsInterpreted(t *testing.T) {
 // stubTuner drives ChoiceTuned with fixed corrections.
 type stubTuner struct {
 	nok, join, hyb float64
-	bNoK, bStream  float64
+	bNoK           float64
 	workers        int
 }
 
 func (s stubTuner) Scale(*pattern.Graph) (float64, float64, float64) { return s.nok, s.join, s.hyb }
-func (s stubTuner) BatchFactors() (float64, float64)                 { return s.bNoK, s.bStream }
+func (s stubTuner) BatchFactor() float64                             { return s.bNoK }
 func (s stubTuner) EffectiveWorkers(int) int                         { return s.workers }
 
 func TestChoiceTunedSteersStrategyKeepsRawEstimate(t *testing.T) {
@@ -181,7 +181,7 @@ func TestChoiceTunedSteersStrategyKeepsRawEstimate(t *testing.T) {
 	}
 	// A tuner that has observed the join estimate to be a huge
 	// underestimate must flip the pick away from the joins.
-	tuned := m.ChoiceTuned(g, true, 0, stubTuner{nok: 1, join: 1e6, hyb: 1e6, bNoK: batchNoKFactor, bStream: batchStreamFactor})
+	tuned := m.ChoiceTuned(g, true, 0, stubTuner{nok: 1, join: 1e6, hyb: 1e6, bNoK: batchNoKFactor})
 	switch tuned.Strategy {
 	case exec.StrategyPathStack, exec.StrategyTwigStack:
 		t.Fatalf("tuner correction did not steer the pick (still %v)", tuned.Strategy)

@@ -53,9 +53,9 @@ func TestChoiceParallelConsistent(t *testing.T) {
 		g := graphOf(t, q)
 		for _, rooted := range []bool{true, false} {
 			for _, w := range []int{0, 1, 2, 4, 16} {
-				ch := m.ChoiceParallel(g, rooted, w)
+				ch := m.ChoiceTuned(g, rooted, w, nil)
 				if base := m.Choice(g, rooted); ch.Strategy != base.Strategy {
-					t.Errorf("%s: ChoiceParallel changed the strategy: %v vs %v", q, ch.Strategy, base.Strategy)
+					t.Errorf("%s: the worker budget changed the strategy: %v vs %v", q, ch.Strategy, base.Strategy)
 				}
 				e := m.Estimate(g)
 				want := false

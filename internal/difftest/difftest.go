@@ -1,9 +1,9 @@
 // Package difftest is the cross-strategy differential harness: it runs
 // a corpus of queries over the deterministic xmark generator families
 // and checks that every physical configuration — NoK, Hybrid,
-// PathStack, TwigStack, naive, the default cost-chosen strategy, and
-// the partitioned parallel variants of each — produces byte-identical
-// serialized results. A metamorphic suite (Toggles) additionally flips
+// PathStack, TwigStack, naive, the default cost-chosen strategy, the
+// partitioned parallel variants of each, and NoK on the compiled batch
+// kernels — produces byte-identical serialized results. A metamorphic suite (Toggles) additionally flips
 // the logical pipeline stages one at a time against the defaults.
 //
 // The reference evaluation is the serial naive matcher: it is the
@@ -18,6 +18,8 @@ import (
 	"fmt"
 
 	"xqp"
+	"xqp/internal/exec"
+	"xqp/internal/pattern"
 	"xqp/internal/rewrite"
 	"xqp/internal/storage"
 	"xqp/internal/xmark"
@@ -48,9 +50,9 @@ func Reference() Config {
 // configuration is valid for every corpus query. The parallel variants
 // request explicit worker budgets, which the executor honors regardless
 // of the host's core count — that keeps the partitioned code paths
-// exercised even on single-core CI. The batched variants run the same
-// strategies on the compiled batch kernels (Options.Batched), which
-// must be byte-identical to their interpreted counterparts.
+// exercised even on single-core CI. The batch kernels have no option:
+// the cost model picks them for NoK, so Check drives them directly
+// (RunKernels).
 func Configs() []Config {
 	return []Config{
 		{Name: "nok", Opts: xqp.Options{Strategy: xqp.NoK}},
@@ -65,16 +67,6 @@ func Configs() []Config {
 		{Name: "pathstack-j4", Opts: xqp.Options{Strategy: xqp.PathStack, Parallelism: 4}},
 		{Name: "defaults", Opts: xqp.Options{}},
 		{Name: "defaults-j4", Opts: xqp.Options{Parallelism: 4}},
-		{Name: "nok-batched", Opts: xqp.Options{Strategy: xqp.NoK, Batched: true}},
-		{Name: "nok-batched-j2", Opts: xqp.Options{Strategy: xqp.NoK, Batched: true, Parallelism: 2}},
-		{Name: "nok-batched-j4", Opts: xqp.Options{Strategy: xqp.NoK, Batched: true, Parallelism: 4}},
-		{Name: "nok-batched-j8", Opts: xqp.Options{Strategy: xqp.NoK, Batched: true, Parallelism: 8}},
-		{Name: "naive-batched", Opts: xqp.Options{Strategy: xqp.Naive, Batched: true}},
-		{Name: "twigstack-batched", Opts: xqp.Options{Strategy: xqp.TwigStack, Batched: true}},
-		{Name: "pathstack-batched", Opts: xqp.Options{Strategy: xqp.PathStack, Batched: true}},
-		{Name: "hybrid-batched", Opts: xqp.Options{Strategy: xqp.Hybrid, Batched: true}},
-		{Name: "defaults-batched", Opts: xqp.Options{Batched: true}},
-		{Name: "defaults-batched-j4", Opts: xqp.Options{Batched: true, Parallelism: 4}},
 		// Calibrated variants: Options.Calibrate feeds every dispatch
 		// into the database's calibrator, and under the default auto
 		// strategy lets the fitted corrections steer strategy, parallel
@@ -91,13 +83,9 @@ func Configs() []Config {
 		{Name: "hybrid-cal", Opts: xqp.Options{Strategy: xqp.Hybrid, Calibrate: true}},
 		{Name: "nok-cal-j4", Opts: xqp.Options{Strategy: xqp.NoK, Calibrate: true, Parallelism: 4}},
 		{Name: "twigstack-cal-j4", Opts: xqp.Options{Strategy: xqp.TwigStack, Calibrate: true, Parallelism: 4}},
-		{Name: "nok-cal-batched", Opts: xqp.Options{Strategy: xqp.NoK, Calibrate: true, Batched: true}},
-		{Name: "pathstack-cal-batched", Opts: xqp.Options{Strategy: xqp.PathStack, Calibrate: true, Batched: true}},
 		{Name: "defaults-cal", Opts: xqp.Options{Calibrate: true}},
 		{Name: "defaults-cal-j4", Opts: xqp.Options{Calibrate: true, Parallelism: 4}},
 		{Name: "defaults-cal-j8", Opts: xqp.Options{Calibrate: true, Parallelism: 8}},
-		{Name: "defaults-cal-batched", Opts: xqp.Options{Calibrate: true, Batched: true}},
-		{Name: "defaults-cal-batched-j4", Opts: xqp.Options{Calibrate: true, Batched: true, Parallelism: 4}},
 	}
 }
 
@@ -223,24 +211,69 @@ func Run(db *xqp.Database, src string, opts xqp.Options) (string, error) {
 	return res.XML(), nil
 }
 
-// Check runs src under the reference and every configuration and
-// demands byte-identical output; the returned error names the first
-// disagreeing configuration and shows both serializations. Shared by
-// TestDifferential and the FuzzMatchEquivalence target.
+// kernelWorkers are the worker budgets Check runs the batch kernels
+// under: serial, and the partitioned kernels at 2, 4 and 8 workers.
+var kernelWorkers = []int{1, 2, 4, 8}
+
+// RunKernels executes src on db with every τ dispatch on NoK's compiled
+// batch kernels — a chooser that always asks for them, parallel when
+// workers > 1 — and returns the serialized result. The kernels are a
+// mode the cost model picks, not an option, so this is how the
+// differential reaches them on every query. It fails if any dispatch
+// ran interpreted.
+func RunKernels(db *xqp.Database, src string, workers int) (string, error) {
+	q, err := db.Compile(src, xqp.Options{})
+	if err != nil {
+		return "", err
+	}
+	eng := exec.New(db.Store(), exec.Options{
+		Parallelism: workers,
+		Chooser: func(*storage.Store, *pattern.Graph, bool) exec.Choice {
+			return exec.Choice{Strategy: exec.StrategyNoK, Batched: true, Parallel: workers > 1}
+		},
+	})
+	seq, err := eng.Eval(q.Plan, exec.Root())
+	if err != nil {
+		return "", err
+	}
+	if m := eng.Metrics; m.BatchedFallbacks != 0 || m.BatchedTau != m.TauByStrategy[exec.StrategyNoK] {
+		return "", fmt.Errorf("%d of %d τ dispatches ran on the kernels (%d fallbacks)",
+			m.BatchedTau, m.TauByStrategy[exec.StrategyNoK], m.BatchedFallbacks)
+	}
+	return (&xqp.Result{Seq: seq}).XML(), nil
+}
+
+// Check runs src under the reference, every configuration and the batch
+// kernels at every kernelWorkers budget, and demands byte-identical
+// output; the returned error names the first disagreeing configuration
+// and shows both serializations. Shared by TestDifferential and the
+// FuzzMatchEquivalence target.
 func Check(db *xqp.Database, src string) error {
 	ref := Reference()
 	want, err := Run(db, src, ref.Opts)
 	if err != nil {
 		return fmt.Errorf("%s: %w", ref.Name, err)
 	}
-	for _, cfg := range Configs() {
-		got, err := Run(db, src, cfg.Opts)
+	agree := func(name, got string, err error) error {
 		if err != nil {
-			return fmt.Errorf("%s: %w", cfg.Name, err)
+			return fmt.Errorf("%s: %w", name, err)
 		}
 		if got != want {
 			return fmt.Errorf("%s disagrees with %s on %q:\n  %s: %q\n  %s: %q",
-				cfg.Name, ref.Name, src, cfg.Name, got, ref.Name, want)
+				name, ref.Name, src, name, got, ref.Name, want)
+		}
+		return nil
+	}
+	for _, cfg := range Configs() {
+		got, err := Run(db, src, cfg.Opts)
+		if err := agree(cfg.Name, got, err); err != nil {
+			return err
+		}
+	}
+	for _, w := range kernelWorkers {
+		got, err := RunKernels(db, src, w)
+		if err := agree(fmt.Sprintf("nok-kernels-j%d", w), got, err); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -21,7 +21,7 @@ type RouterConfig struct {
 // RouterConfigs returns the execution configurations the router
 // differential runs under — a cross-section of the strategy space
 // (forced join matcher, forced navigational, the default cost-chosen
-// strategy, batched and parallel variants), not the full difftest
+// strategy, parallel variants), not the full difftest
 // matrix: the router forwards options verbatim, so a handful of
 // maximally different plans is what exercises the routing layer.
 func RouterConfigs() []RouterConfig {
@@ -30,7 +30,7 @@ func RouterConfigs() []RouterConfig {
 		{Name: "twigstack", Opts: xqp.EngineQueryOptions{Strategy: xqp.TwigStack}},
 		{Name: "pathstack-j4", Opts: xqp.EngineQueryOptions{Strategy: xqp.PathStack, Parallelism: 4}},
 		{Name: "defaults", Opts: xqp.EngineQueryOptions{}},
-		{Name: "nok-batched-j4", Opts: xqp.EngineQueryOptions{Strategy: xqp.NoK, Batched: true, Parallelism: 4}},
+		{Name: "nok-j4", Opts: xqp.EngineQueryOptions{Strategy: xqp.NoK, Parallelism: 4}},
 	}
 }
 

@@ -465,11 +465,6 @@ type QueryOptions struct {
 	// plan, so it is not part of the plan-cache key either.
 	// xqvet:cachekey exec-only
 	Parallelism int
-	// Batched runs τ batch-at-a-time on compiled batch kernels. The
-	// compiler stamps the plan's pattern graphs with batch Programs, so
-	// a batched plan is a different artifact from an interpreted one
-	// and the flag is part of the plan-cache key (via compileOptions).
-	Batched bool
 	// Tenant is the multi-tenancy key for this query ("" is the shared
 	// anonymous tenant). It never shapes the compiled plan; it selects
 	// the plan-cache partition (each tenant evicts only its own plans)
@@ -482,7 +477,6 @@ func (o QueryOptions) compileOptions() compile.Options {
 	return compile.Options{
 		DisableAnalyzer: o.DisableAnalyzer,
 		DisableRewrites: o.DisableRewrites,
-		Batched:         o.Batched,
 	}
 }
 
@@ -601,7 +595,6 @@ func (e *Engine) run(ctx context.Context, doc, src string, opts QueryOptions, wa
 		Interrupt:   ctx.Err,
 		Trace:       opts.Trace,
 		Parallelism: opts.Parallelism,
-		Batched:     opts.Batched,
 	}
 	cal := d.cal
 	if cal != nil {

@@ -433,6 +433,13 @@ var (
 // scanQuery fuses into a single τ with four descendant edges.
 const scanQuery = `//section//section//section//title`
 
+// scanOpts pins the scan to the navigational NoK matcher. The cost-chosen
+// default runs this τ through the compiled batch kernel, which finishes it
+// in tens of milliseconds: too quick to see a deadline cut it short. The
+// kernel's own poll discipline is tested in package nok
+// (TestBatchedInterrupt).
+var scanOpts = QueryOptions{NoCache: true, Strategy: exec.StrategyNoK}
+
 func bigDeep() *storage.Store {
 	bigDeepOnce.Do(func() { bigDeepStore = xmark.StoreDeep(20000, 25) })
 	return bigDeepStore
@@ -443,7 +450,7 @@ func bigDeep() *storage.Store {
 func scanBaseline(t *testing.T, e *Engine) time.Duration {
 	t.Helper()
 	start := time.Now()
-	if _, err := e.Query(context.Background(), "deep.xml", scanQuery, QueryOptions{NoCache: true}); err != nil {
+	if _, err := e.Query(context.Background(), "deep.xml", scanQuery, scanOpts); err != nil {
 		t.Fatal(err)
 	}
 	baseline := time.Since(start)
@@ -468,7 +475,7 @@ func TestDeadlineAbortsDescendantScan(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
 	start := time.Now()
-	_, err := e.Query(ctx, "deep.xml", scanQuery, QueryOptions{NoCache: true})
+	_, err := e.Query(ctx, "deep.xml", scanQuery, scanOpts)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
@@ -487,7 +494,7 @@ func TestDefaultTimeout(t *testing.T) {
 	scanBaseline(t, base) // skips on machines where the scan is instant
 	e := New(Config{DefaultTimeout: 5 * time.Millisecond})
 	e.RegisterStore("deep.xml", bigDeep())
-	_, err := e.Query(context.Background(), "deep.xml", scanQuery, QueryOptions{NoCache: true})
+	_, err := e.Query(context.Background(), "deep.xml", scanQuery, scanOpts)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded from DefaultTimeout", err)
 	}

@@ -1,10 +1,15 @@
 package exec
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"xqp/internal/core"
+	"xqp/internal/nok"
+	"xqp/internal/parser"
 	"xqp/internal/pattern"
+	"xqp/internal/rewrite"
 	"xqp/internal/storage"
 	"xqp/internal/xmark"
 )
@@ -26,56 +31,59 @@ func findRecord(t *testing.T, e *Engine) *StrategyRecord {
 	return rec
 }
 
-// TestBatchedDispatch: with Options.Batched every strategy with a
-// batched mode runs on the kernels (BatchedTau, record.Batched), agrees
-// with its interpreted counterpart, and still tallies actual work.
+// choose returns a chooser hook that always answers c.
+func choose(c Choice) func(*storage.Store, *pattern.Graph, bool) Choice {
+	return func(*storage.Store, *pattern.Graph, bool) Choice { return c }
+}
+
+// TestBatchedDispatch: a Choice asking for batched NoK runs the
+// kernels (BatchedTau, record.Batched), agrees with interpreted NoK,
+// and still tallies actual work.
 func TestBatchedDispatch(t *testing.T) {
-	for _, tc := range []struct {
-		strategy Strategy
-		query    string
-	}{
-		{StrategyNoK, `//parlist//text`},
-		{StrategyNaive, `//item/name`},
-		{StrategyTwigStack, `//open_auction[bidder]/current`},
-		{StrategyPathStack, `//bidder/increase`},
+	for _, q := range []string{
+		`//parlist//text`,
+		`//item/name`,
+		`//open_auction[bidder]/current`,
+		`/site/regions/*/item`,
 	} {
 		st := xmark.StoreAuction(2)
 		st.URI = "auction.xml"
-		plain := New(st, Options{Strategy: tc.strategy})
-		want := run(t, plain, tc.query)
-		e := New(st, Options{Strategy: tc.strategy, Batched: true, Trace: true})
-		got := run(t, e, tc.query)
+		want := run(t, New(st, Options{Strategy: StrategyNoK}), q)
+		e := New(st, Options{Trace: true, Chooser: choose(Choice{Strategy: StrategyNoK, Batched: true})})
+		got := run(t, e, q)
 		if len(got) != len(want) {
-			t.Fatalf("%s %s: batched %d items, interpreted %d", tc.strategy, tc.query, len(got), len(want))
+			t.Fatalf("%s: batched %d items, interpreted %d", q, len(got), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("%s %s: item %d differs", tc.strategy, tc.query, i)
+				t.Fatalf("%s: item %d differs", q, i)
 			}
 		}
-		if e.Metrics.BatchedTau == 0 {
-			t.Fatalf("%s: BatchedTau = 0 (fallbacks = %d)", tc.strategy, e.Metrics.BatchedFallbacks)
-		}
-		if e.Metrics.BatchedFallbacks != 0 {
-			t.Fatalf("%s: BatchedFallbacks = %d", tc.strategy, e.Metrics.BatchedFallbacks)
+		if e.Metrics.BatchedTau == 0 || e.Metrics.BatchedFallbacks != 0 {
+			t.Fatalf("%s: BatchedTau = %d, BatchedFallbacks = %d", q, e.Metrics.BatchedTau, e.Metrics.BatchedFallbacks)
 		}
 		rec := findRecord(t, e)
 		if !rec.Batched || rec.BatchedReason != "" {
-			t.Fatalf("%s: record batched=%v reason=%q", tc.strategy, rec.Batched, rec.BatchedReason)
+			t.Fatalf("%s: record batched=%v reason=%q", q, rec.Batched, rec.BatchedReason)
 		}
-		if rec.Actual.NodesVisited == 0 && rec.Actual.StreamElems == 0 {
-			t.Fatalf("%s: batched record tallied no work", tc.strategy)
+		if rec.Actual.NodesVisited == 0 {
+			t.Fatalf("%s: batched record tallied no work", q)
 		}
 	}
 }
 
 // TestBatchedParallelDispatch: batched NoK under a worker budget fans
-// out over range partitions and counts both ParallelTau and BatchedTau.
+// out over partitions and counts both ParallelTau and BatchedTau.
 func TestBatchedParallelDispatch(t *testing.T) {
-	e := auctionEngine(t, Options{Strategy: StrategyNoK, Batched: true, Parallelism: 4, Trace: true})
+	e := auctionEngine(t, Options{
+		Parallelism: 4,
+		Trace:       true,
+		Chooser:     choose(Choice{Strategy: StrategyNoK, Batched: true, Parallel: true}),
+	})
 	got := run(t, e, `/site/regions//item/name`)
-	if len(got) == 0 {
-		t.Fatal("no results")
+	want := run(t, auctionEngine(t, Options{Strategy: StrategyNoK}), `/site/regions//item/name`)
+	if len(got) == 0 || len(got) != len(want) {
+		t.Fatalf("parallel batched %d items, interpreted %d", len(got), len(want))
 	}
 	if e.Metrics.BatchedTau == 0 {
 		t.Fatalf("BatchedTau = 0 (fallbacks = %d)", e.Metrics.BatchedFallbacks)
@@ -97,71 +105,65 @@ func TestBatchedParallelDispatch(t *testing.T) {
 	}
 }
 
-// TestBatchedFallbacks: strategies without a batched mode fall back to
-// the interpreter with a recorded reason, never silently.
+// TestBatchedFallbacks: batched is a mode of NoK alone, so a Choice
+// asking for it on naive or hybrid runs the interpreted matcher. That
+// is not a fallback: nothing is counted and the record carries no
+// reason.
 func TestBatchedFallbacks(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		opts   Options
-		query  string
-		reason string
-	}{
-		{"hybrid", Options{Strategy: StrategyHybrid, Batched: true, Trace: true},
-			`//item/name`, "hybrid matcher has no batched mode"},
-		{"parallel-naive", Options{Strategy: StrategyNaive, Batched: true, Parallelism: 4, Trace: true},
-			`//item/name`, "parallel naive has no batched mode"},
-		{"parallel-twig", Options{Strategy: StrategyTwigStack, Batched: true, Parallelism: 4, Trace: true},
-			`//open_auction[bidder]/current`, "parallel stream scan replaces batched streams"},
-	} {
-		e := auctionEngine(t, tc.opts)
-		if got := run(t, e, tc.query); len(got) == 0 {
-			t.Fatalf("%s: no results", tc.name)
-		}
-		if e.Metrics.BatchedFallbacks == 0 {
-			t.Fatalf("%s: BatchedFallbacks = 0 (tau = %d)", tc.name, e.Metrics.BatchedTau)
-		}
-		rec := findRecord(t, e)
-		if rec.Batched {
-			t.Fatalf("%s: record claims batched execution", tc.name)
-		}
-		if rec.BatchedReason != tc.reason {
-			t.Fatalf("%s: reason = %q, want %q", tc.name, rec.BatchedReason, tc.reason)
+	for _, s := range []Strategy{StrategyNaive, StrategyHybrid} {
+		for _, workers := range []int{0, 4} {
+			e := auctionEngine(t, Options{
+				Parallelism: workers,
+				Trace:       true,
+				Chooser:     choose(Choice{Strategy: s, Batched: true, Parallel: true}),
+			})
+			if got := run(t, e, `//item/name`); len(got) == 0 {
+				t.Fatalf("%v j%d: no results", s, workers)
+			}
+			if e.Metrics.BatchedTau != 0 || e.Metrics.BatchedFallbacks != 0 {
+				t.Fatalf("%v j%d: BatchedTau = %d, BatchedFallbacks = %d", s, workers, e.Metrics.BatchedTau, e.Metrics.BatchedFallbacks)
+			}
+			rec := findRecord(t, e)
+			if rec.Executed != s || rec.Batched || rec.BatchedReason != "" {
+				t.Fatalf("%v j%d: executed %v batched=%v reason=%q", s, workers, rec.Executed, rec.Batched, rec.BatchedReason)
+			}
 		}
 	}
 }
 
-// TestBatchedTooLarge: a pattern over batch.MaxVertices vertices cannot
-// compile; the dispatch records the fallback and the interpreter serves
-// the query.
+// TestBatchedTooLarge: a Choice asking for batched NoK on a pattern over
+// batch.MaxVertices vertices counts a fallback and dispatches to the
+// interpreter — whose own 64-vertex bound then rejects the pattern with
+// nok.ErrTooLarge, not the kernel's batch.ErrTooLarge.
 func TestBatchedTooLarge(t *testing.T) {
-	// StrategyNaive: the interpreted NoK matcher has the same 64-vertex
-	// bitmask bound, so only naive can actually serve this pattern.
 	st := storage.MustLoad("<a>" + strings.Repeat("<b>", 70) + strings.Repeat("</b>", 70) + "</a>")
-	e := New(st, Options{Strategy: StrategyNaive, Batched: true, Trace: true})
-	q := "/a/" + strings.TrimSuffix(strings.Repeat("b/", 66), "/")
-	got := run(t, e, q)
-	if len(got) != 1 {
-		t.Fatalf("got %d items, want 1", len(got))
+	e := New(st, Options{Chooser: choose(Choice{Strategy: StrategyNoK, Batched: true})})
+	ex, err := parser.Parse("/a/" + strings.TrimSuffix(strings.Repeat("b/", 66), "/"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if e.Metrics.BatchedTau != 0 || e.Metrics.BatchedFallbacks == 0 {
-		t.Fatalf("tau = %d, fallbacks = %d; want 0, > 0", e.Metrics.BatchedTau, e.Metrics.BatchedFallbacks)
+	plan, err := core.Translate(ex)
+	if err != nil {
+		t.Fatal(err)
 	}
-	rec := findRecord(t, e)
-	if rec.Batched || rec.BatchedReason != "pattern too large for batch kernels" {
-		t.Fatalf("record batched=%v reason=%q", rec.Batched, rec.BatchedReason)
+	plan, _ = rewrite.Rewrite(plan, rewrite.All())
+	if _, err := e.Eval(plan, Root()); !errors.Is(err, nok.ErrTooLarge) {
+		t.Fatalf("err = %v, want the interpreter's %v", err, nok.ErrTooLarge)
+	}
+	if e.Metrics.BatchedTau != 0 || e.Metrics.BatchedFallbacks != 1 {
+		t.Fatalf("BatchedTau = %d, BatchedFallbacks = %d; want 0, 1", e.Metrics.BatchedTau, e.Metrics.BatchedFallbacks)
 	}
 }
 
-// TestBatchedChooserDecides: a Choice with Batched set runs the kernels
-// even when Options.Batched is off (results are identical either way).
+// TestBatchedChooserDecides: without a chooser nothing runs batched;
+// the verdict is the chooser's alone.
 func TestBatchedChooserDecides(t *testing.T) {
-	e := auctionEngine(t, Options{
-		Strategy: StrategyAuto,
-		Trace:    true,
-		Chooser: func(st *storage.Store, g *pattern.Graph, rootAnchored bool) Choice {
-			return Choice{Strategy: StrategyNoK, Batched: true}
-		},
-	})
+	plain := auctionEngine(t, Options{Trace: true})
+	run(t, plain, `//item/name`)
+	if plain.Metrics.BatchedTau != 0 || findRecord(t, plain).Batched {
+		t.Fatal("dispatch without a chooser ran batched")
+	}
+	e := auctionEngine(t, Options{Trace: true, Chooser: choose(Choice{Strategy: StrategyNoK, Batched: true})})
 	if got := run(t, e, `//item/name`); len(got) == 0 {
 		t.Fatal("no results")
 	}
@@ -173,32 +175,27 @@ func TestBatchedChooserDecides(t *testing.T) {
 	}
 }
 
-// TestAutoJoinsRunPlainStreams: under auto a join pick runs the plain
-// streams even with Options.Batched (and a batched verdict) set, and
-// says so in the record; a pinned join strategy still runs batched.
+// TestAutoJoinsRunPlainStreams: a Choice asking for batched TwigStack
+// or PathStack runs the join on the plain streams, serial or parallel,
+// and the record says neither batched nor fallen back.
 func TestAutoJoinsRunPlainStreams(t *testing.T) {
 	for _, s := range []Strategy{StrategyTwigStack, StrategyPathStack} {
-		e := auctionEngine(t, Options{
-			Batched: true,
-			Trace:   true,
-			Chooser: func(*storage.Store, *pattern.Graph, bool) Choice {
-				return Choice{Strategy: s, Batched: true}
-			},
-		})
-		if got := run(t, e, `//bidder/increase`); len(got) == 0 {
-			t.Fatal("no results")
-		}
-		rec := findRecord(t, e)
-		if rec.Executed != s || rec.Batched || rec.BatchedReason != "joins run plain streams under auto" {
-			t.Fatalf("%v under auto: executed %v batched=%v reason=%q", s, rec.Executed, rec.Batched, rec.BatchedReason)
-		}
-		if e.Metrics.BatchedTau != 0 || e.Metrics.BatchedFallbacks != 1 {
-			t.Fatalf("%v under auto: BatchedTau=%d BatchedFallbacks=%d", s, e.Metrics.BatchedTau, e.Metrics.BatchedFallbacks)
-		}
-		pinned := auctionEngine(t, Options{Strategy: s, Batched: true, Trace: true})
-		run(t, pinned, `//bidder/increase`)
-		if rec := findRecord(t, pinned); !rec.Batched {
-			t.Fatalf("pinned %v: record not batched (%q)", s, rec.BatchedReason)
+		for _, workers := range []int{0, 4} {
+			e := auctionEngine(t, Options{
+				Parallelism: workers,
+				Trace:       true,
+				Chooser:     choose(Choice{Strategy: s, Batched: true, Parallel: true}),
+			})
+			if got := run(t, e, `//bidder/increase`); len(got) == 0 {
+				t.Fatal("no results")
+			}
+			rec := findRecord(t, e)
+			if rec.Executed != s || rec.Batched || rec.BatchedReason != "" {
+				t.Fatalf("%v j%d: executed %v batched=%v reason=%q", s, workers, rec.Executed, rec.Batched, rec.BatchedReason)
+			}
+			if e.Metrics.BatchedTau != 0 || e.Metrics.BatchedFallbacks != 0 {
+				t.Fatalf("%v j%d: BatchedTau=%d BatchedFallbacks=%d", s, workers, e.Metrics.BatchedTau, e.Metrics.BatchedFallbacks)
+			}
 		}
 	}
 }

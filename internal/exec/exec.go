@@ -65,17 +65,6 @@ type Options struct {
 	// steps, reproducing the worst-case exponential behaviour of purely
 	// pipelined evaluation (experiment E6). Never enable in production.
 	NoStepDedup bool
-	// Batched runs τ on the compiled batch kernels (package batch):
-	// operators exchange blocks of node ids and the matcher's recursion
-	// is replaced by linear scans of the parenthesis sequence. Results
-	// are bit-identical to the interpreted matchers. Dispatches the
-	// kernels cannot serve (patterns over batch.MaxVertices vertices,
-	// strategies without a batched mode) fall back to the interpreter
-	// with a recorded reason — never silently. Under StrategyAuto a join
-	// pick always runs the plain streams: the batched ones rebuild the
-	// interval arrays over the whole document per dispatch and lose to
-	// them, so they run only when the join strategy is pinned.
-	Batched bool
 	// Chooser, when non-nil and Strategy is StrategyAuto, picks the
 	// strategy per τ invocation (wired to the cost model). rootAnchored
 	// reports whether the context is exactly the document root — the
@@ -138,9 +127,9 @@ type Metrics struct {
 	ParallelTau       int64
 	ParallelFallbacks int64
 	// BatchedTau counts τ dispatches executed by the compiled batch
-	// kernels; BatchedFallbacks counts dispatches where batched
-	// execution was requested but the interpreted matcher ran (pattern
-	// too large, or the executed strategy has no batched mode).
+	// kernels; BatchedFallbacks counts dispatches where the chooser
+	// asked for them but the interpreted matcher ran (pattern too large
+	// for the kernels).
 	BatchedTau       int64
 	BatchedFallbacks int64
 }
@@ -583,31 +572,26 @@ func (e *Engine) matchStore(st *storage.Store, g *pattern.Graph, contexts []stor
 	chosen := e.opts.Strategy
 	workers := e.workers()
 	wantParallel := workers > 1
-	wantBatched := e.opts.Batched
+	wantBatched := false
 	var est *CostEstimate
 	if chosen == StrategyAuto {
 		if e.opts.Chooser != nil {
 			c := e.opts.Chooser(st, g, rootAnchored)
 			chosen, est = c.Strategy, c.Estimate
 			// The model decides serial vs parallel for the strategy it
-			// picked; the worker budget only bounds the pool. Batched
-			// execution is bit-identical, so a model verdict for it is
-			// honored even without Options.Batched.
+			// picked; the worker budget only bounds the pool. Batched is
+			// a mode of NoK alone: every other strategy runs interpreted.
 			wantParallel = wantParallel && c.Parallel
-			wantBatched = wantBatched || c.Batched
+			wantBatched = c.Batched && chosen == StrategyNoK
 		} else {
 			chosen = StrategyNoK
 		}
 	}
-	// A compiled pattern is the precondition for every batched mode;
-	// oversized patterns fall back to the interpreter with a reason.
-	useBatched, batchedReason := false, ""
-	if wantBatched {
-		if _, berr := batch.For(g); berr != nil {
-			batchedReason = "pattern too large for batch kernels"
-		} else {
-			useBatched = true
-		}
+	// The kernels represent at most batch.MaxVertices vertices; larger
+	// patterns fall back to the interpreter with a reason.
+	useBatched, batchedReason := wantBatched, ""
+	if wantBatched && g.VertexCount() > batch.MaxVertices {
+		useBatched, batchedReason = false, "pattern too large for batch kernels"
 	}
 	wantRecord := e.opts.Trace || e.opts.Record != nil
 	if est == nil && wantRecord && e.opts.Estimator != nil {
@@ -628,21 +612,24 @@ func (e *Engine) matchStore(st *storage.Store, g *pattern.Graph, contexts []stor
 	if executed != chosen {
 		e.Metrics.StrategyFallbacks++
 	}
-	// Batched join streams lose to the plain ones (see Options.Batched).
-	if useBatched && e.opts.Strategy == StrategyAuto && (executed == StrategyTwigStack || executed == StrategyPathStack) {
-		useBatched, batchedReason = false, "joins run plain streams under auto"
-	}
 	e.Metrics.TauByStrategy[executed]++
+	if useBatched {
+		e.Metrics.BatchedTau++
+	} else if wantBatched {
+		e.Metrics.BatchedFallbacks++
+	}
 	var rec *StrategyRecord
 	var sink *tally.Counters
 	if wantRecord {
 		rec = &StrategyRecord{
-			Chosen:   chosen,
-			Executed: executed,
-			Fallback: executed != chosen,
-			Reason:   reason,
-			Estimate: est,
-			Contexts: len(contexts),
+			Chosen:        chosen,
+			Executed:      executed,
+			Fallback:      executed != chosen,
+			Reason:        reason,
+			Estimate:      est,
+			Contexts:      len(contexts),
+			Batched:       useBatched,
+			BatchedReason: batchedReason,
 		}
 		sink = &rec.Actual
 	}
@@ -662,13 +649,8 @@ func (e *Engine) matchStore(st *storage.Store, g *pattern.Graph, contexts []stor
 	switch executed {
 	case StrategyNaive:
 		if wantParallel {
-			if useBatched {
-				useBatched, batchedReason = false, "parallel naive has no batched mode"
-			}
 			refs, partitions, parReason, err = naive.MatchOutputParallel(st, g, contexts, workers, e.opts.Interrupt, sink)
 			ranParallel = parReason == "" && err == nil
-		} else if useBatched {
-			refs, err = naive.MatchOutputBatched(st, g, contexts, e.opts.Interrupt, sink)
 		} else {
 			refs, err = naive.MatchOutputCounted(st, g, contexts, e.opts.Interrupt, sink)
 		}
@@ -677,17 +659,11 @@ func (e *Engine) matchStore(st *storage.Store, g *pattern.Graph, contexts []stor
 		if wantParallel {
 			parReason = "hybrid matcher has no parallel mode"
 		}
-		if useBatched {
-			useBatched, batchedReason = false, "hybrid matcher has no batched mode"
-		}
 		refs, err = nok.MatchHybridCounted(st, g, contexts, e.opts.Interrupt, sink)
 	case StrategyTwigStack:
 		e.Metrics.JoinCalls += int64(g.VertexCount() - 1)
 		var s join.Stream
 		if wantParallel && g.VertexCount() > 2 {
-			if useBatched {
-				useBatched, batchedReason = false, "parallel stream scan replaces batched streams"
-			}
 			var streams []join.Stream
 			var parts []tally.Partition
 			streams, parts, err = join.VertexStreamsParallel(st, g, workers, e.opts.Interrupt)
@@ -699,20 +675,13 @@ func (e *Engine) matchStore(st *storage.Store, g *pattern.Graph, contexts []stor
 			if wantParallel {
 				parReason = "single vertex stream"
 			}
-			if useBatched {
-				s, err = join.TwigStackBatched(st, g, e.opts.Interrupt, sink)
-			} else {
-				s, err = join.TwigStackCounted(st, g, e.opts.Interrupt, sink)
-			}
+			s, err = join.TwigStackCounted(st, g, e.opts.Interrupt, sink)
 		}
 		refs = s.Refs()
 	case StrategyPathStack:
 		e.Metrics.JoinCalls += int64(g.VertexCount() - 1)
 		var s join.Stream
 		if wantParallel && g.VertexCount() > 2 {
-			if useBatched {
-				useBatched, batchedReason = false, "parallel stream scan replaces batched streams"
-			}
 			var streams []join.Stream
 			var parts []tally.Partition
 			streams, parts, err = join.VertexStreamsParallel(st, g, workers, e.opts.Interrupt)
@@ -724,11 +693,7 @@ func (e *Engine) matchStore(st *storage.Store, g *pattern.Graph, contexts []stor
 			if wantParallel {
 				parReason = "single vertex stream"
 			}
-			if useBatched {
-				s, err = join.PathStackBatched(st, g, e.opts.Interrupt, sink)
-			} else {
-				s, err = join.PathStackCounted(st, g, e.opts.Interrupt, sink)
-			}
+			s, err = join.PathStackCounted(st, g, e.opts.Interrupt, sink)
 		}
 		refs = s.Refs()
 	default:
@@ -756,13 +721,6 @@ func (e *Engine) matchStore(st *storage.Store, g *pattern.Graph, contexts []stor
 			e.Metrics.ParallelFallbacks++
 		}
 	}
-	if wantBatched {
-		if useBatched {
-			e.Metrics.BatchedTau++
-		} else {
-			e.Metrics.BatchedFallbacks++
-		}
-	}
 	if rec != nil {
 		rec.Dur = time.Since(dispatchStart)
 		rec.Matches = len(refs)
@@ -772,8 +730,6 @@ func (e *Engine) matchStore(st *storage.Store, g *pattern.Graph, contexts []stor
 		if wantParallel {
 			rec.Workers = workers
 		}
-		rec.Batched = useBatched
-		rec.BatchedReason = batchedReason
 		if e.opts.Record != nil {
 			e.opts.Record(st, g, rec)
 		}

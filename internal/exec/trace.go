@@ -35,11 +35,12 @@ type Choice struct {
 	// It only takes effect when the executor has a worker budget
 	// (Options.Parallelism > 1).
 	Parallel bool
-	// Batched asks for batch-at-a-time execution by the compiled
-	// kernels; the cost model sets it when the pattern compiles (at
+	// Batched asks for NoK to run batch-at-a-time on the compiled
+	// kernels; the cost model sets it when the pattern fits them (at
 	// most batch.MaxVertices vertices) and the modeled kernel cost
-	// beats the interpreter's. Results are identical either way, so
-	// the executor honors it even without Options.Batched.
+	// beats the interpreter's. Results are identical either way. Only
+	// a NoK pick honors it: the other strategies always run
+	// interpreted.
 	Batched bool
 }
 
@@ -75,15 +76,15 @@ type StrategyRecord struct {
 	Partitions     []tally.Partition `json:"partitions,omitempty"`
 	// Batched reports whether the dispatch ran on the compiled batch
 	// kernels; BatchedReason explains a fallback to the interpreter
-	// when batched execution was requested ("pattern too large for
-	// batch kernels", "hybrid matcher has no batched mode").
+	// when the chooser asked for them ("pattern too large for batch
+	// kernels").
 	Batched       bool   `json:"batched,omitempty"`
 	BatchedReason string `json:"batched_reason,omitempty"`
 	// Dur is the wall time of the dispatch itself (matcher entry to
 	// exit). The work counters in Actual are mode-independent — the
 	// batched kernels do the same logical work as the interpreter — so
 	// wall time is what lets the calibration layer fit the batched
-	// speed factors from observed records.
+	// speed factor from observed records.
 	Dur time.Duration `json:"wall_ns,omitempty"`
 }
 

@@ -41,7 +41,7 @@ func E19Batched(scales []int) *Table {
 			"NoK rows replace per-step FindClose navigation with linear parenthesis scans;",
 			"TwigStack rows replace per-element FindClose in stream building with one interval scan;",
 			"the full-document interval scan only pays off when streams cover most of the document,",
-			"so selective twigs show a mild slowdown — the cost model prices this via batchStreamFactor",
+			"so selective twigs show a mild slowdown — the executor never batches a join; only NoK has a batched mode",
 		},
 	}
 	for _, scale := range scales {

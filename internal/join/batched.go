@@ -1,15 +1,16 @@
 package join
 
-// Batched stream construction for the holistic join matchers: one
-// linear scan of the parenthesis sequence (batch.Intervals) precomputes
-// every node's closing position and level, so building a vertex stream
-// costs an O(1) array load per element instead of a FindClose (block
-// scans plus a segment-tree walk) inside elemOf. The stack phases are
-// unchanged — they consume the same document-ordered streams — so
-// results are identical to the interpreted entry points. The interval
-// scan covers the whole document on every call, which costs more than
-// the plain streams' per-element FindClose on every measured workload,
-// so the executor runs these only when a join strategy is pinned.
+// Batched stream construction for TwigStack: one linear scan of the
+// parenthesis sequence (batch.Intervals) precomputes every node's
+// closing position and level, so building a vertex stream costs an O(1)
+// array load per element instead of a FindClose (block scans plus a
+// segment-tree walk) inside elemOf. The stack phases are unchanged —
+// they consume the same document-ordered streams — so results are
+// identical to the interpreted entry points. The interval scan covers
+// the whole document on every call, which costs more than the plain
+// streams' per-element FindClose on every measured workload, so the
+// executor never runs it; it is kept as a measured baseline for the
+// benchmark's layer timings and experiment E19.
 
 import (
 	"xqp/internal/ast"
@@ -29,17 +30,6 @@ func TwigStackBatched(st *storage.Store, g *pattern.Graph, interrupt func() erro
 		return nil, err
 	}
 	return TwigStackStreamsCounted(st, g, streams, interrupt, c)
-}
-
-// PathStackBatched is PathStackCounted over streams built from the
-// interval arrays of one batched parenthesis scan.
-func PathStackBatched(st *storage.Store, g *pattern.Graph, interrupt func() error, c *tally.Counters) (s Stream, err error) {
-	defer catchInterrupt(&err)
-	streams, err := batchedStreams(st, g, interrupt)
-	if err != nil {
-		return nil, err
-	}
-	return PathStackStreamsCounted(st, g, streams, interrupt, c)
 }
 
 // batchedStreams builds the per-vertex streams from one Intervals scan.

@@ -23,7 +23,7 @@ func streamsEqual(a, b Stream) bool {
 
 // TestBatchedStreamsMatchCounted: streams built from the one-scan
 // interval arrays must yield element-identical results (Ref, Start, End,
-// Level) to the FindClose-backed interpreted entry points.
+// Level) to the FindClose-backed interpreted entry point.
 func TestBatchedStreamsMatchCounted(t *testing.T) {
 	for _, st := range []*storage.Store{
 		storage.MustLoad(bibXML),
@@ -53,20 +53,6 @@ func TestBatchedStreamsMatchCounted(t *testing.T) {
 			if !streamsEqual(got, want) {
 				t.Fatalf("%s: twig batched %d elems, counted %d", q, len(got), len(want))
 			}
-			if !g.IsPath() {
-				continue // PathStack handles non-branching patterns only
-			}
-			pwant, err := PathStackCounted(st, g, nil, nil)
-			if err != nil {
-				t.Fatalf("%s path counted: %v", q, err)
-			}
-			pgot, err := PathStackBatched(st, g, nil, nil)
-			if err != nil {
-				t.Fatalf("%s path batched: %v", q, err)
-			}
-			if !streamsEqual(pgot, pwant) {
-				t.Fatalf("%s: path batched %d elems, counted %d", q, len(pgot), len(pwant))
-			}
 		}
 	}
 }
@@ -77,8 +63,5 @@ func TestBatchedStreamsInterrupt(t *testing.T) {
 	boom := errors.New("boom")
 	if _, err := TwigStackBatched(st, g, func() error { return boom }, nil); !errors.Is(err, boom) {
 		t.Fatalf("twig err = %v, want boom", err)
-	}
-	if _, err := PathStackBatched(st, g, func() error { return boom }, nil); !errors.Is(err, boom) {
-		t.Fatalf("path err = %v, want boom", err)
 	}
 }

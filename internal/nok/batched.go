@@ -18,11 +18,11 @@ import (
 )
 
 // MatchOutputBatched is MatchOutputCounted executed by the compiled
-// batch kernel. It fails with batch.ErrTooLarge for patterns over 64
-// vertices (the same bound the interpreter enforces via ErrTooLarge);
-// the executor falls back to the interpreter in that case.
+// batch kernel. It fails with batch.ErrTooLarge for patterns over
+// batch.MaxVertices vertices (the same bound the interpreter enforces
+// via ErrTooLarge); the executor checks that bound before dispatch.
 func MatchOutputBatched(st *storage.Store, g *pattern.Graph, contexts []storage.NodeRef, interrupt func() error, c *tally.Counters) ([]storage.NodeRef, error) {
-	prog, err := batch.For(g)
+	prog, err := batch.Compile(g)
 	if err != nil {
 		return nil, err
 	}
@@ -49,7 +49,7 @@ func MatchOutputBatched(st *storage.Store, g *pattern.Graph, contexts []storage.
 // again over the same chunks. Many contexts chunk the context list like
 // the interpreted parallel matcher.
 func MatchOutputParallelBatched(st *storage.Store, g *pattern.Graph, contexts []storage.NodeRef, workers int, interrupt func() error, c *tally.Counters) (refs []storage.NodeRef, pr ParallelResult, err error) {
-	prog, err := batch.For(g)
+	prog, err := batch.Compile(g)
 	if err != nil {
 		return nil, ParallelResult{Workers: workers}, err
 	}

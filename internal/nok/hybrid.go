@@ -21,19 +21,14 @@ import (
 // a final top-down pass filters the chain of fragments leading to the
 // output vertex.
 func MatchHybrid(st *storage.Store, g *pattern.Graph, contexts []storage.NodeRef) ([]storage.NodeRef, error) {
-	return MatchHybridInterruptible(st, g, contexts, nil)
+	return MatchHybridCounted(st, g, contexts, nil, nil)
 }
 
-// MatchHybridInterruptible is MatchHybrid with a cancellation poll (see
-// MatchInterruptible).
-func MatchHybridInterruptible(st *storage.Store, g *pattern.Graph, contexts []storage.NodeRef, interrupt func() error) ([]storage.NodeRef, error) {
-	return MatchHybridCounted(st, g, contexts, interrupt, nil)
-}
-
-// MatchHybridCounted is MatchHybridInterruptible reporting actual work
-// into c (when non-nil): nodes visited by fragment navigation, stream
-// elements fed into the glue structural joins, and the intermediate
-// solutions those joins produce.
+// MatchHybridCounted is MatchHybrid with a cancellation poll (see
+// MatchOutputCounted), reporting actual work into c (when non-nil):
+// nodes visited by fragment navigation, stream elements fed into the
+// glue structural joins, and the intermediate solutions those joins
+// produce.
 func MatchHybridCounted(st *storage.Store, g *pattern.Graph, contexts []storage.NodeRef, interrupt func() error, c *tally.Counters) (refs []storage.NodeRef, err error) {
 	m, err := newMatcher(st, g)
 	if err != nil {

@@ -48,37 +48,24 @@ type Bindings map[pattern.VertexID][]storage.NodeRef
 // bindings of every pattern vertex. For rooted patterns pass the store
 // root as the only context; for relative patterns pass the context nodes.
 func Match(st *storage.Store, g *pattern.Graph, contexts []storage.NodeRef) (Bindings, error) {
-	return MatchInterruptible(st, g, contexts, nil)
-}
-
-// MatchInterruptible is Match with a cancellation poll: interrupt (when
-// non-nil) is consulted every pollEvery node visits, and its first
-// non-nil error aborts the scan mid-pass and is returned.
-func MatchInterruptible(st *storage.Store, g *pattern.Graph, contexts []storage.NodeRef, interrupt func() error) (b Bindings, err error) {
 	m, err := newMatcher(st, g)
 	if err != nil {
 		return nil, err
 	}
-	m.interrupt = interrupt
-	defer catchInterrupt(&err)
 	return m.run(contexts, nil), nil
 }
 
 // MatchOutput evaluates the pattern and returns only the output vertex's
 // matches in document order — the common case for path expressions.
 func MatchOutput(st *storage.Store, g *pattern.Graph, contexts []storage.NodeRef) ([]storage.NodeRef, error) {
-	return MatchOutputInterruptible(st, g, contexts, nil)
+	return MatchOutputCounted(st, g, contexts, nil, nil)
 }
 
-// MatchOutputInterruptible is MatchOutput with a cancellation poll (see
-// MatchInterruptible).
-func MatchOutputInterruptible(st *storage.Store, g *pattern.Graph, contexts []storage.NodeRef, interrupt func() error) ([]storage.NodeRef, error) {
-	return MatchOutputCounted(st, g, contexts, interrupt, nil)
-}
-
-// MatchOutputCounted is MatchOutputInterruptible reporting the actual
-// work into c (when non-nil): every document node visited by the
-// matcher's passes counts toward c.NodesVisited.
+// MatchOutputCounted is MatchOutput with a cancellation poll, reporting
+// the actual work into c (when non-nil): interrupt (when non-nil) is
+// consulted every pollEvery node visits, and its first non-nil error
+// aborts the scan mid-pass and is returned; every document node visited
+// by the matcher's passes counts toward c.NodesVisited.
 func MatchOutputCounted(st *storage.Store, g *pattern.Graph, contexts []storage.NodeRef, interrupt func() error, c *tally.Counters) (refs []storage.NodeRef, err error) {
 	m, err := newMatcher(st, g)
 	if err != nil {

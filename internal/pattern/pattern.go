@@ -96,12 +96,6 @@ type Graph struct {
 	// by the static analyzer after rewriting (analyze.AnnotateGraphs);
 	// negative means not annotated and the cost model estimates on demand.
 	EstCard float64
-	// Compiled holds the batch-execution program for this graph
-	// (*batch.Program, typed any to avoid an import cycle), stamped by
-	// the compile pipeline when batched execution is requested. It is
-	// written only during single-threaded compilation — executors treat
-	// it as immutable and compile ad hoc when nil.
-	Compiled any
 }
 
 // NewGraph returns a graph with only the root vertex.

@@ -107,16 +107,9 @@ type Options struct {
 	// dispatch; a forced Strategy parallelizes unconditionally.
 	// xqvet:cachekey exec-only
 	Parallelism int
-	// Batched runs pattern matching batch-at-a-time on compiled batch
-	// kernels: the compiler stamps each τ pattern with a batch Program
-	// (shaping the plan, hence part of the cache fingerprint) and the
-	// executor runs the kernels where a batched mode exists, falling
-	// back to the interpreted matchers with a recorded reason
-	// elsewhere. Results are bit-identical to interpreted execution.
-	Batched bool
 	// Calibrate feeds every τ dispatch record into the database's
 	// per-document calibrators (cost/calibrate) and, under Strategy
-	// Auto, lets the fitted scales, batch factors and parallel-degree
+	// Auto, lets the fitted scales, batch factor and parallel-degree
 	// table tune the chooser. Results are unchanged — only strategy choice is.
 	// xqvet:cachekey exec-only
 	Calibrate bool
@@ -363,7 +356,6 @@ func compileQuery(src string, opts Options, st *storage.Store, syn *stats.Synops
 		DisableAnalyzer: opts.DisableAnalyzer,
 		DisableRewrites: opts.DisableRewrites,
 		Rewrites:        opts.Rewrites,
-		Batched:         opts.Batched,
 	}, st, syn)
 	if err != nil {
 		return nil, err
@@ -440,7 +432,6 @@ func (db *Database) Run(q *Query) (*Result, error) {
 		StrictDocs:  q.opts.StrictDocs,
 		Trace:       q.opts.Trace,
 		Parallelism: q.opts.Parallelism,
-		Batched:     q.opts.Batched,
 	}
 	if eo.Strategy == Auto {
 		workers := q.opts.Parallelism
