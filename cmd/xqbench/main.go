@@ -45,7 +45,6 @@ var registry = []struct {
 	{"E15", "engine throughput vs workers/cache", func() *experiments.Table { return experiments.E15Throughput(200) }},
 	{"E16", "estimated vs actual cost accuracy", func() *experiments.Table { return experiments.E16EstimateAccuracy(8) }},
 	{"E17", "parallel vs serial pattern matching", func() *experiments.Table { return experiments.E17Parallel([]int{4, 8, 16}, 4) }},
-	{"E17B", "serial stability after partition hooks", func() *experiments.Table { return experiments.E17SerialRegression(8) }},
 	{"E18", "continuous bid-watch delta latency", func() *experiments.Table { return experiments.E18BidWatch(2, 40) }},
 	{"E19", "batched vs interpreted pattern matching", func() *experiments.Table { return experiments.E19Batched([]int{4, 8, 16}) }},
 	{"E20", "chooser regret: static vs calibrated constants", func() *experiments.Table { return experiments.E20Calibration(2) }},

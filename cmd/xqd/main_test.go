@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -13,6 +14,7 @@ import (
 	"testing"
 
 	"xqp"
+	"xqp/internal/parser"
 )
 
 const bibXML = `<bib>
@@ -142,6 +144,28 @@ func TestQueryErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad strategy status = %d", resp.StatusCode)
+	}
+}
+
+// TestDeepQuery400: a query nested past parser.MaxDepth is a client's
+// syntax error, answered 400, even when it nests far deeper than the
+// server's goroutine stack could hold, in a body well under
+// maxQueryBody.
+func TestDeepQuery400(t *testing.T) {
+	srv := newTestServer(t)
+	for _, n := range []int{parser.MaxDepth, 2000000} {
+		q := strings.Repeat("(", n) + "1" + strings.Repeat(")", n)
+		body, _ := json.Marshal(map[string]string{"doc": "bib", "query": q})
+		resp, err := http.Post(srv.URL+"/query", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e errorResponse
+		json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "nests deeper than") {
+			t.Fatalf("%d levels: status %d, error %q", n, resp.StatusCode, e.Error)
+		}
 	}
 }
 

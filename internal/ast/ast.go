@@ -202,17 +202,19 @@ func QuoteString(s string) string {
 	return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
 }
 
-// NumberLit is a numeric literal (stored as float64; integral values keep
-// integer semantics downstream).
+// NumberLit is a numeric literal. An integer literal (IsInt) keeps its
+// exact value in Int and integer semantics downstream; Val holds the
+// float64 value of every literal.
 type NumberLit struct {
 	Val   float64
 	IsInt bool
+	Int   int64
 }
 
 func (*NumberLit) exprNode() {}
 func (n *NumberLit) String() string {
 	if n.IsInt {
-		return fmt.Sprintf("%d", int64(n.Val))
+		return fmt.Sprintf("%d", n.Int)
 	}
 	return fmt.Sprintf("%g", n.Val)
 }

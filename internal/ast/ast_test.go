@@ -61,7 +61,7 @@ func TestExprStrings(t *testing.T) {
 			{Kind: ClauseFor, Var: "b", Expr: &PathExpr{Rooted: true, Steps: []Step{{Axis: AxisChild, Test: NodeTest{Kind: TestName, Name: "bib"}}}}},
 			{Kind: ClauseLet, Var: "t", Expr: &VarRef{Name: "b"}},
 		},
-		Where:   &Binary{Op: OpGt, L: &VarRef{Name: "t"}, R: &NumberLit{Val: 3, IsInt: true}},
+		Where:   &Binary{Op: OpGt, L: &VarRef{Name: "t"}, R: &NumberLit{Val: 3, IsInt: true, Int: 3}},
 		OrderBy: []OrderSpec{{Key: &VarRef{Name: "t"}, Descending: true}},
 		Return:  &ElementCtor{Name: "r", Content: []ContentItem{{Expr: &VarRef{Name: "t"}}}},
 	}
@@ -75,7 +75,7 @@ func TestExprStrings(t *testing.T) {
 	if !strings.Contains(q.String(), "every $x in .") {
 		t.Errorf("quantified string = %s", q)
 	}
-	iff := &If{Cond: &FuncCall{Name: "true"}, Then: &NumberLit{Val: 1, IsInt: true}, Else: &NumberLit{Val: 2.5}}
+	iff := &If{Cond: &FuncCall{Name: "true"}, Then: &NumberLit{Val: 1, IsInt: true, Int: 1}, Else: &NumberLit{Val: 2.5}}
 	if iff.String() != "if (true()) then 1 else 2.5" {
 		t.Errorf("if string = %s", iff)
 	}
@@ -83,11 +83,11 @@ func TestExprStrings(t *testing.T) {
 	if !strings.Contains(cc.String(), `element x { "v" }`) {
 		t.Errorf("computed ctor = %s", cc)
 	}
-	u := &Unary{Neg: true, X: &NumberLit{Val: 4, IsInt: true}}
+	u := &Unary{Neg: true, X: &NumberLit{Val: 4, IsInt: true, Int: 4}}
 	if u.String() != "(-4)" {
 		t.Errorf("unary = %s", u)
 	}
-	sq := &SequenceExpr{Items: []Expr{&NumberLit{Val: 1, IsInt: true}, &StringLit{Val: "a"}}}
+	sq := &SequenceExpr{Items: []Expr{&NumberLit{Val: 1, IsInt: true, Int: 1}, &StringLit{Val: "a"}}}
 	if sq.String() != `(1, "a")` {
 		t.Errorf("sequence = %s", sq)
 	}

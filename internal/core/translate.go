@@ -17,7 +17,7 @@ func Translate(e ast.Expr) (Op, error) {
 		return &ConstOp{Seq: value.Singleton(value.Str(x.Val))}, nil
 	case *ast.NumberLit:
 		if x.IsInt {
-			return &ConstOp{Seq: value.Singleton(value.Int(int64(x.Val)))}, nil
+			return &ConstOp{Seq: value.Singleton(value.Int(x.Int))}, nil
 		}
 		return &ConstOp{Seq: value.Singleton(value.Dbl(x.Val))}, nil
 	case *ast.EmptySeq:

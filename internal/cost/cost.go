@@ -54,7 +54,7 @@ const (
 	// stack setup).
 	joinSetup = 64.0
 	// parSetup is the fixed cost of planning a parallel τ dispatch:
-	// frontier selection, goroutine pool spin-up, and the merge
+	// range selection, goroutine pool spin-up, and the merge
 	// machinery. It keeps small documents serial, where fan-out
 	// overhead would dominate the matching itself.
 	parSetup = 4000.0
@@ -299,25 +299,33 @@ func (m *Model) ChoiceFor(e Estimate, g *pattern.Graph, rootAnchored bool, worke
 	}
 	s := chooseFrom(te, g, rootAnchored)
 	ch := exec.Choice{Strategy: s, Estimate: e.ForExec()}
+	if s == exec.StrategyHybrid {
+		// The hybrid matcher has neither a parallel nor a batched mode.
+		return ch
+	}
 	eff := float64(tunedWorkers(workers, t))
-	if workers > 1 {
-		switch s {
-		case exec.StrategyTwigStack, exec.StrategyPathStack:
-			ch.Parallel = te.joinParallelEff(eff) < te.Join
-		case exec.StrategyHybrid:
-			// The hybrid matcher has no parallel mode.
-		default:
-			ch.Parallel = te.nokParallelEff(workers, eff) < te.NoK
-		}
+	if s != exec.StrategyNoK {
+		ch.Parallel = workers > 1 && te.joinParallelEff(eff) < te.Join
+		return ch
 	}
 	if g.VertexCount() > batch.MaxVertices {
+		// No NoK matcher represents the pattern: the executor runs it
+		// on the naive matcher, serially.
 		return ch
 	}
 	bNoK := batchNoKFactor
 	if t != nil {
 		bNoK = t.BatchFactor()
 	}
-	ch.Batched = batchedVerdict(te, s, ch.Parallel, eff, float64(m.syn.NodeCount()), bNoK)
+	// NoK has three modes: the interpreter, the serial kernel and the
+	// kernel partitioned over the workers. Parallel NoK runs only on the
+	// kernels, so a parallel verdict is a batched one.
+	nodes := float64(m.syn.NodeCount())
+	serial, kernel := te.NoK, kernelScan(nodes, bNoK)
+	ch.Batched = kernel < serial
+	if workers > 1 && nokParallelEff(te, nodes, bNoK, workers, eff) < min(serial, kernel) {
+		ch.Parallel, ch.Batched = true, true
+	}
 	return ch
 }
 
@@ -356,41 +364,24 @@ func (m *Model) WithinCost(g *pattern.Graph, candidates int) float64 {
 	return joinSetup + nokPerNode*perCand*float64(candidates)
 }
 
-// batchedVerdict asks whether the compiled batch kernels would beat the
-// interpreted matcher for the chosen strategy and mode, pricing what
-// each side actually scans. The NoK kernel runs a linear pass over the
-// whole parenthesis sequence of the context (nodes·bNoK plus its
-// setup), while the interpreter's cost is the NoK estimate itself:
-// top-down navigation along matching paths for child-only patterns,
-// two global passes once a descendant edge appears. Under parallel
-// dispatch both sides divide across the effective workers; the
-// parSetup/per-partition/merge overheads are common to both and left
-// out. Only NoK has a batched mode, so every other pick stays
-// interpreted.
-func batchedVerdict(e Estimate, s exec.Strategy, parallel bool, eff, nodes, bNoK float64) bool {
-	if s != exec.StrategyNoK {
-		return false
-	}
-	interp, kernel := e.NoK, nodes*bNoK
-	if parallel {
-		interp, kernel = interp/eff, kernel/eff
-	}
-	return kernel+batchSetup < interp
+// kernelScan models the serial NoK batch kernel: a linear pass over the
+// whole parenthesis sequence of the context (nodes·bNoK) plus the
+// compile-and-bind setup, whatever the pattern. The interpreter's cost
+// is the NoK estimate itself: top-down navigation along matching paths
+// for child-only patterns, two global passes once a descendant edge
+// appears.
+func kernelScan(nodes, bNoK float64) float64 {
+	return nodes*bNoK + batchSetup
 }
 
-// NoKParallel models the partitioned NoK matcher under a worker
-// budget: the upward and downward passes divide across the effective
-// cores, plus fixed planning, per-partition task, and document-order
-// merge costs.
-func (e Estimate) NoKParallel(workers int) float64 {
-	return e.nokParallelEff(workers, float64(effectiveWorkers(workers)))
-}
-
-// nokParallelEff is NoKParallel with the effective parallel degree
-// factored out, so a Tuner's learned degree can replace the static cap.
-func (e Estimate) nokParallelEff(workers int, eff float64) float64 {
+// nokParallelEff models the partitioned NoK matcher — the batch kernels
+// over preorder ranges — under a worker budget: the kernel scan over
+// nodes divides across the eff effective cores, plus the kernel setup
+// and the fixed planning, per-partition task and document-order merge
+// costs. bNoK and eff are the static or the Tuner's fitted values.
+func nokParallelEff(e Estimate, nodes, bNoK float64, workers int, eff float64) float64 {
 	parts := float64(workers * parPartitionsPerWorker)
-	return e.NoK/eff +
+	return nodes*bNoK/eff + batchSetup +
 		parSetup + parPerPartition*parts + parMergePerMatch*e.OutputCard
 }
 

@@ -109,34 +109,57 @@ func TestNewModelWith(t *testing.T) {
 	}
 }
 
-// TestBatchedVerdictPricesKernelScan pins the batched NoK boundary: the
+// TestBatchedVerdictPricesKernelScan pins the NoK mode boundaries. The
 // kernel scans the whole context (nodes·bNoK plus batchSetup) whatever
-// the pattern, so it only wins when the interpreter's own estimate is
-// larger. With 1000 nodes the serial boundary sits at NoK = 0.4·1000 +
-// 512 = 912.
+// the pattern, so serially it only wins when the interpreter's own
+// estimate is larger. A parallel verdict prices the kernel scan split
+// over the workers plus the fan-out overheads against the cheaper
+// serial mode, and is always a batched one.
 func TestBatchedVerdictPricesKernelScan(t *testing.T) {
-	mk := func(nok float64) Estimate { return Estimate{NoK: nok} }
-	const nodes = 1000.0
-	if batchedVerdict(mk(912), exec.StrategyNoK, false, 1, nodes, batchNoKFactor) {
-		t.Fatal("serial estimate at the boundary chose batched")
+	m := NewModel(xmark.StoreAuction(1))
+	g := graphOf(t, "//item/name")
+	nodes := float64(m.syn.NodeCount())
+	kernel := kernelScan(nodes, batchNoKFactor)
+	at := func(nok float64, workers int, tu Tuner) exec.Choice {
+		return m.ChoiceFor(Estimate{NoK: nok, Join: 1e18, Hybrid: 1e18}, g, false, workers, tu)
 	}
-	if !batchedVerdict(mk(913), exec.StrategyNoK, false, 1, nodes, batchNoKFactor) {
-		t.Fatal("serial estimate above the boundary stayed interpreted")
+	if ch := at(kernel, 1, nil); ch.Strategy != exec.StrategyNoK || ch.Batched || ch.Parallel {
+		t.Fatalf("serial estimate at the boundary: %+v", ch)
 	}
-	// Parallel: both sides divide across the workers, the setup does
-	// not. With eff=4 the kernel costs 100+512, so NoK must exceed 2448.
-	const eff = 4.0
-	if batchedVerdict(mk(2448), exec.StrategyNoK, true, eff, nodes, batchNoKFactor) {
-		t.Fatal("parallel slice at the boundary chose batched")
+	if ch := at(kernel+1, 1, nil); !ch.Batched || ch.Parallel {
+		t.Fatalf("serial estimate above the boundary: %+v", ch)
 	}
-	if !batchedVerdict(mk(2449), exec.StrategyNoK, true, eff, nodes, batchNoKFactor) {
-		t.Fatal("parallel slice above the boundary stayed interpreted")
+	// A fitted kernel factor large enough that four workers repay the
+	// fan-out: the parallel kernels beat both serial modes.
+	const eff = 4
+	slow := stubTuner{nok: 1, join: 1, hyb: 1, bNoK: 100, workers: eff}
+	par := nokParallelEff(Estimate{}, nodes, slow.bNoK, eff, eff)
+	if serial := kernelScan(nodes, slow.bNoK); par >= serial {
+		t.Fatalf("test premise: parallel %.0f not below serial kernel %.0f", par, serial)
+	}
+	if ch := at(1e12, eff, slow); !ch.Parallel || !ch.Batched {
+		t.Fatalf("parallel kernels cheapest: %+v", ch)
+	}
+	// The interpreter below the parallel price keeps the dispatch serial
+	// and interpreted.
+	if ch := at(par-1, eff, slow); ch.Parallel || ch.Batched {
+		t.Fatalf("interpreter cheapest: %+v", ch)
+	}
+	if ch := at(1e12, 1, slow); ch.Parallel || !ch.Batched {
+		t.Fatalf("one worker: %+v", ch)
 	}
 	// The joins and the hybrid matcher are never batched, however large
 	// their estimates.
-	for _, s := range []exec.Strategy{exec.StrategyTwigStack, exec.StrategyPathStack, exec.StrategyHybrid} {
-		if batchedVerdict(Estimate{NoK: 1e9, Join: 1e9, Hybrid: 1e9}, s, false, 1, nodes, batchNoKFactor) {
-			t.Fatalf("%v chose batched", s)
+	for _, c := range []struct {
+		e      Estimate
+		rooted bool
+	}{
+		{Estimate{NoK: 1e9, Join: 1e8, Hybrid: 1e9}, true},
+		{Estimate{NoK: 1e9, Join: 1e9, Hybrid: 1e8}, false},
+	} {
+		ch := m.ChoiceFor(c.e, g, c.rooted, eff, slow)
+		if ch.Strategy == exec.StrategyNoK || ch.Batched {
+			t.Fatalf("%+v: %v batched=%v", c.e, ch.Strategy, ch.Batched)
 		}
 	}
 }

@@ -21,15 +21,17 @@ func TestEffectiveWorkersBound(t *testing.T) {
 }
 
 // TestParallelEstimateOverhead: the modeled parallel cost is strictly
-// above the ideal split — fan-out always pays setup, per-partition, and
-// merge terms, so small documents stay serial.
+// above the ideal split of the kernel scan — fan-out always pays setup,
+// per-partition, and merge terms, so small documents stay serial.
 func TestParallelEstimateOverhead(t *testing.T) {
 	m := NewModel(xmark.StoreAuction(4))
 	e := m.Estimate(graphOf(t, "//parlist//text"))
+	nodes := float64(m.syn.NodeCount())
+	kernel := kernelScan(nodes, batchNoKFactor)
 	for _, w := range []int{2, 4, 8, 64} {
 		eff := float64(effectiveWorkers(w))
-		if got := e.NoKParallel(w); got <= e.NoK/eff {
-			t.Errorf("NoKParallel(%d) = %.0f, not above ideal split %.0f", w, got, e.NoK/eff)
+		if got := nokParallelEff(e, nodes, batchNoKFactor, w, eff); got <= kernel/eff {
+			t.Errorf("parallel nok(%d) = %.0f, not above ideal split %.0f", w, got, kernel/eff)
 		}
 		// Only the scan share of the join cost parallelizes (the stack
 		// merge is serial), so the parallel estimate keeps the full
@@ -43,12 +45,14 @@ func TestParallelEstimateOverhead(t *testing.T) {
 
 // TestChoiceParallelConsistent: the Parallel verdict is exactly the
 // comparison of the chosen strategy's partitioned estimate against its
-// serial one — recomputed here independently — and a serial worker
-// budget never fans out. On a single-core host the verdict is always
+// cheapest serial one — recomputed here independently — a parallel NoK
+// verdict is a batched one, and a serial worker budget never fans out. On a single-core host the verdict is always
 // serial: the modeled speedup divides by min(workers, NumCPU) = 1 and
 // the overhead terms decide.
 func TestChoiceParallelConsistent(t *testing.T) {
 	m := NewModel(xmark.StoreAuction(4))
+	nodes := float64(m.syn.NodeCount())
+	kernel := kernelScan(nodes, batchNoKFactor)
 	for _, q := range []string{"//parlist//text", "//item/name", "/site/regions//item", "//people/person"} {
 		g := graphOf(t, q)
 		for _, rooted := range []bool{true, false} {
@@ -66,11 +70,15 @@ func TestChoiceParallelConsistent(t *testing.T) {
 					case exec.StrategyHybrid:
 						want = false
 					default:
-						want = e.NoKParallel(w) < e.NoK
+						eff := float64(effectiveWorkers(w))
+						want = nokParallelEff(e, nodes, batchNoKFactor, w, eff) < min(e.NoK, kernel)
 					}
 				}
 				if ch.Parallel != want {
 					t.Errorf("%s (rooted=%v, w=%d): Parallel = %v, want %v", q, rooted, w, ch.Parallel, want)
+				}
+				if ch.Parallel && ch.Strategy == exec.StrategyNoK && !ch.Batched {
+					t.Errorf("%s (rooted=%v, w=%d): parallel nok verdict not batched", q, rooted, w)
 				}
 				if runtime.NumCPU() == 1 && ch.Parallel {
 					t.Errorf("%s: parallel verdict on a single-core host", q)

@@ -236,9 +236,9 @@ func RunKernels(db *xqp.Database, src string, workers int) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if m := eng.Metrics; m.BatchedFallbacks != 0 || m.BatchedTau != m.TauByStrategy[exec.StrategyNoK] {
-		return "", fmt.Errorf("%d of %d τ dispatches ran on the kernels (%d fallbacks)",
-			m.BatchedTau, m.TauByStrategy[exec.StrategyNoK], m.BatchedFallbacks)
+	if m := eng.Metrics; m.BatchedTau != m.TauByStrategy[exec.StrategyNoK] {
+		return "", fmt.Errorf("%d of %d τ dispatches ran on the kernels",
+			m.BatchedTau, m.TauByStrategy[exec.StrategyNoK])
 	}
 	return (&xqp.Result{Seq: seq}).XML(), nil
 }

@@ -59,13 +59,14 @@ func TestParallelQueryMetrics(t *testing.T) {
 	}
 }
 
-// TestParallelFallbackMetrics: a budgeted query whose τ cannot usefully
-// partition counts a fallback, not a parallel dispatch. The strategy is
-// pinned, so the fan-out is requested rather than left to the model.
+// TestParallelFallbackMetrics: a budgeted query whose τ cannot fan out
+// counts a fallback, not a parallel dispatch. The strategy is pinned to
+// naive, which has no parallel mode, so the fan-out is requested rather
+// than left to the model.
 func TestParallelFallbackMetrics(t *testing.T) {
 	e := newBibEngine(t, Config{})
 	res, err := e.Query(context.Background(), "bib.xml", `/bib/book/title`,
-		QueryOptions{Strategy: exec.StrategyNoK, Parallelism: 4})
+		QueryOptions{Strategy: exec.StrategyNaive, Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,10 @@
 package exec
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
 	"xqp/internal/core"
-	"xqp/internal/nok"
 	"xqp/internal/parser"
 	"xqp/internal/pattern"
 	"xqp/internal/rewrite"
@@ -59,12 +57,12 @@ func TestBatchedDispatch(t *testing.T) {
 				t.Fatalf("%s: item %d differs", q, i)
 			}
 		}
-		if e.Metrics.BatchedTau == 0 || e.Metrics.BatchedFallbacks != 0 {
-			t.Fatalf("%s: BatchedTau = %d, BatchedFallbacks = %d", q, e.Metrics.BatchedTau, e.Metrics.BatchedFallbacks)
+		if e.Metrics.BatchedTau == 0 {
+			t.Fatalf("%s: BatchedTau = 0", q)
 		}
 		rec := findRecord(t, e)
-		if !rec.Batched || rec.BatchedReason != "" {
-			t.Fatalf("%s: record batched=%v reason=%q", q, rec.Batched, rec.BatchedReason)
+		if !rec.Batched {
+			t.Fatalf("%s: record not batched", q)
 		}
 		if rec.Actual.NodesVisited == 0 {
 			t.Fatalf("%s: batched record tallied no work", q)
@@ -86,7 +84,7 @@ func TestBatchedParallelDispatch(t *testing.T) {
 		t.Fatalf("parallel batched %d items, interpreted %d", len(got), len(want))
 	}
 	if e.Metrics.BatchedTau == 0 {
-		t.Fatalf("BatchedTau = 0 (fallbacks = %d)", e.Metrics.BatchedFallbacks)
+		t.Fatal("BatchedTau = 0")
 	}
 	if e.Metrics.ParallelTau == 0 {
 		t.Fatalf("ParallelTau = 0 (fallbacks = %d)", e.Metrics.ParallelFallbacks)
@@ -120,38 +118,71 @@ func TestBatchedFallbacks(t *testing.T) {
 			if got := run(t, e, `//item/name`); len(got) == 0 {
 				t.Fatalf("%v j%d: no results", s, workers)
 			}
-			if e.Metrics.BatchedTau != 0 || e.Metrics.BatchedFallbacks != 0 {
-				t.Fatalf("%v j%d: BatchedTau = %d, BatchedFallbacks = %d", s, workers, e.Metrics.BatchedTau, e.Metrics.BatchedFallbacks)
+			if e.Metrics.BatchedTau != 0 {
+				t.Fatalf("%v j%d: BatchedTau = %d", s, workers, e.Metrics.BatchedTau)
 			}
 			rec := findRecord(t, e)
-			if rec.Executed != s || rec.Batched || rec.BatchedReason != "" {
-				t.Fatalf("%v j%d: executed %v batched=%v reason=%q", s, workers, rec.Executed, rec.Batched, rec.BatchedReason)
+			if rec.Executed != s || rec.Batched {
+				t.Fatalf("%v j%d: executed %v batched=%v", s, workers, rec.Executed, rec.Batched)
 			}
 		}
 	}
 }
 
-// TestBatchedTooLarge: a Choice asking for batched NoK on a pattern over
-// batch.MaxVertices vertices counts a fallback and dispatches to the
-// interpreter — whose own 64-vertex bound then rejects the pattern with
-// nok.ErrTooLarge, not the kernel's batch.ErrTooLarge.
+// TestBatchedTooLarge: a pattern over batch.MaxVertices vertices fits
+// none of NoK's matchers, so a NoK or hybrid pick — by the chooser or
+// pinned, serial or parallel — runs naive, counts a strategy fallback
+// and agrees with a pinned naive run.
 func TestBatchedTooLarge(t *testing.T) {
 	st := storage.MustLoad("<a>" + strings.Repeat("<b>", 70) + strings.Repeat("</b>", 70) + "</a>")
-	e := New(st, Options{Chooser: choose(Choice{Strategy: StrategyNoK, Batched: true})})
-	ex, err := parser.Parse("/a/" + strings.TrimSuffix(strings.Repeat("b/", 66), "/"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := core.Translate(ex)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, _ = rewrite.Rewrite(plan, rewrite.All())
-	if _, err := e.Eval(plan, Root()); !errors.Is(err, nok.ErrTooLarge) {
-		t.Fatalf("err = %v, want the interpreter's %v", err, nok.ErrTooLarge)
-	}
-	if e.Metrics.BatchedTau != 0 || e.Metrics.BatchedFallbacks != 1 {
-		t.Fatalf("BatchedTau = %d, BatchedFallbacks = %d; want 0, 1", e.Metrics.BatchedTau, e.Metrics.BatchedFallbacks)
+	steps := strings.TrimSuffix(strings.Repeat("b/", 66), "/")
+	for _, q := range []string{"/a/" + steps, "//" + steps} {
+		ex, err := parser.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := core.Translate(ex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, _ = rewrite.Rewrite(plan, rewrite.All())
+		want, err := New(st, Options{Strategy: StrategyNaive}).Eval(plan, Root())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 {
+			t.Fatalf("%s: naive found no matches", q)
+		}
+		for _, opts := range []Options{
+			{Chooser: choose(Choice{Strategy: StrategyNoK, Batched: true})},
+			{Chooser: choose(Choice{Strategy: StrategyNoK, Batched: true, Parallel: true}), Parallelism: 4},
+			{Strategy: StrategyNoK},
+			{Strategy: StrategyNoK, Parallelism: 4},
+			{Strategy: StrategyHybrid},
+		} {
+			opts.Trace = true
+			e := New(st, opts)
+			got, err := e.Eval(plan, Root())
+			if err != nil {
+				t.Fatalf("%s %+v: %v", q, opts, err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s %+v: %d items, naive %d", q, opts, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s %+v: item %d differs", q, opts, i)
+				}
+			}
+			m := e.Metrics
+			if m.TauByStrategy[StrategyNaive] != 1 || m.StrategyFallbacks != 1 || m.BatchedTau != 0 {
+				t.Fatalf("%s %+v: naive=%d fallbacks=%d batched=%d; want 1, 1, 0",
+					q, opts, m.TauByStrategy[StrategyNaive], m.StrategyFallbacks, m.BatchedTau)
+			}
+			if rec := findRecord(t, e); rec.Reason != "pattern too large for nok" {
+				t.Fatalf("%s %+v: fallback reason %q", q, opts, rec.Reason)
+			}
+		}
 	}
 }
 
@@ -168,7 +199,7 @@ func TestBatchedChooserDecides(t *testing.T) {
 		t.Fatal("no results")
 	}
 	if e.Metrics.BatchedTau == 0 {
-		t.Fatalf("BatchedTau = 0 (fallbacks = %d)", e.Metrics.BatchedFallbacks)
+		t.Fatal("BatchedTau = 0")
 	}
 	if rec := findRecord(t, e); !rec.Batched {
 		t.Fatal("record not batched")
@@ -190,11 +221,11 @@ func TestAutoJoinsRunPlainStreams(t *testing.T) {
 				t.Fatal("no results")
 			}
 			rec := findRecord(t, e)
-			if rec.Executed != s || rec.Batched || rec.BatchedReason != "" {
-				t.Fatalf("%v j%d: executed %v batched=%v reason=%q", s, workers, rec.Executed, rec.Batched, rec.BatchedReason)
+			if rec.Executed != s || rec.Batched {
+				t.Fatalf("%v j%d: executed %v batched=%v", s, workers, rec.Executed, rec.Batched)
 			}
-			if e.Metrics.BatchedTau != 0 || e.Metrics.BatchedFallbacks != 0 {
-				t.Fatalf("%v j%d: BatchedTau=%d BatchedFallbacks=%d", s, workers, e.Metrics.BatchedTau, e.Metrics.BatchedFallbacks)
+			if e.Metrics.BatchedTau != 0 {
+				t.Fatalf("%v j%d: BatchedTau=%d", s, workers, e.Metrics.BatchedTau)
 			}
 		}
 	}

@@ -127,11 +127,8 @@ type Metrics struct {
 	ParallelTau       int64
 	ParallelFallbacks int64
 	// BatchedTau counts τ dispatches executed by the compiled batch
-	// kernels; BatchedFallbacks counts dispatches where the chooser
-	// asked for them but the interpreted matcher ran (pattern too large
-	// for the kernels).
-	BatchedTau       int64
-	BatchedFallbacks int64
+	// kernels.
+	BatchedTau int64
 }
 
 // MaxParallelism is the hard cap on Options.Parallelism: a backstop
@@ -587,12 +584,6 @@ func (e *Engine) matchStore(st *storage.Store, g *pattern.Graph, contexts []stor
 			chosen = StrategyNoK
 		}
 	}
-	// The kernels represent at most batch.MaxVertices vertices; larger
-	// patterns fall back to the interpreter with a reason.
-	useBatched, batchedReason := wantBatched, ""
-	if wantBatched && g.VertexCount() > batch.MaxVertices {
-		useBatched, batchedReason = false, "pattern too large for batch kernels"
-	}
 	wantRecord := e.opts.Trace || e.opts.Record != nil
 	if est == nil && wantRecord && e.opts.Estimator != nil {
 		est = e.opts.Estimator(st, g)
@@ -609,27 +600,33 @@ func (e *Engine) matchStore(st *storage.Store, g *pattern.Graph, contexts []stor
 	case chosen == StrategyPathStack && !g.IsPath():
 		executed, reason = StrategyTwigStack, "pattern branches"
 	}
+	// NoK's bitmask matchers (interpreter, kernels and the hybrid's
+	// fragment matcher) represent at most batch.MaxVertices vertices;
+	// the naive matcher has no such bound.
+	if (executed == StrategyNoK || executed == StrategyHybrid) && g.VertexCount() > batch.MaxVertices {
+		executed, reason = StrategyNaive, "pattern too large for nok"
+	}
 	if executed != chosen {
 		e.Metrics.StrategyFallbacks++
 	}
 	e.Metrics.TauByStrategy[executed]++
+	// Parallel NoK runs only on the batch kernels; serial NoK runs them
+	// when the chooser asks.
+	useBatched := executed == StrategyNoK && (wantParallel || wantBatched)
 	if useBatched {
 		e.Metrics.BatchedTau++
-	} else if wantBatched {
-		e.Metrics.BatchedFallbacks++
 	}
 	var rec *StrategyRecord
 	var sink *tally.Counters
 	if wantRecord {
 		rec = &StrategyRecord{
-			Chosen:        chosen,
-			Executed:      executed,
-			Fallback:      executed != chosen,
-			Reason:        reason,
-			Estimate:      est,
-			Contexts:      len(contexts),
-			Batched:       useBatched,
-			BatchedReason: batchedReason,
+			Chosen:   chosen,
+			Executed: executed,
+			Fallback: executed != chosen,
+			Reason:   reason,
+			Estimate: est,
+			Contexts: len(contexts),
+			Batched:  useBatched,
 		}
 		sink = &rec.Actual
 	}
@@ -649,11 +646,9 @@ func (e *Engine) matchStore(st *storage.Store, g *pattern.Graph, contexts []stor
 	switch executed {
 	case StrategyNaive:
 		if wantParallel {
-			refs, partitions, parReason, err = naive.MatchOutputParallel(st, g, contexts, workers, e.opts.Interrupt, sink)
-			ranParallel = parReason == "" && err == nil
-		} else {
-			refs, err = naive.MatchOutputCounted(st, g, contexts, e.opts.Interrupt, sink)
+			parReason = "naive matcher has no parallel mode"
 		}
+		refs, err = naive.MatchOutputCounted(st, g, contexts, e.opts.Interrupt, sink)
 	case StrategyHybrid:
 		e.Metrics.JoinCalls += int64(g.Partition().JoinCount())
 		if wantParallel {
@@ -699,11 +694,7 @@ func (e *Engine) matchStore(st *storage.Store, g *pattern.Graph, contexts []stor
 	default:
 		if wantParallel {
 			var pres nok.ParallelResult
-			if useBatched {
-				refs, pres, err = nok.MatchOutputParallelBatched(st, g, contexts, workers, e.opts.Interrupt, sink)
-			} else {
-				refs, pres, err = nok.MatchOutputParallel(st, g, contexts, workers, e.opts.Interrupt, sink)
-			}
+			refs, pres, err = nok.MatchOutputParallel(st, g, contexts, workers, e.opts.Interrupt, sink)
 			ranParallel, parReason, partitions = pres.Parallel(), pres.Fallback, pres.Partitions
 		} else if useBatched {
 			refs, err = nok.MatchOutputBatched(st, g, contexts, e.opts.Interrupt, sink)

@@ -52,8 +52,8 @@ func TestParallelTraceShape(t *testing.T) {
 					if p.Dur > s.Dur {
 						t.Errorf("partition wall %v exceeds parent span wall %v", p.Dur, s.Dur)
 					}
-					if p.Kind != "subtree" {
-						t.Errorf("partition kind = %q, want subtree", p.Kind)
+					if p.Kind != "range" {
+						t.Errorf("partition kind = %q, want range", p.Kind)
 					}
 				}
 				if pm > int64(r.Matches) {
@@ -72,7 +72,7 @@ func TestParallelTraceShape(t *testing.T) {
 	if !strings.Contains(f, "parallel{workers=4 partitions=") {
 		t.Errorf("Format lacks parallel annotation:\n%s", f)
 	}
-	if !strings.Contains(f, "· partition subtree@") {
+	if !strings.Contains(f, "· partition range@") {
 		t.Errorf("Format lacks partition lines:\n%s", f)
 	}
 }
@@ -114,13 +114,17 @@ func TestParallelSpanAggregation(t *testing.T) {
 // TestParallelFallbackReasons pins the fallback-to-serial vocabulary
 // and counters for each strategy family.
 func TestParallelFallbackReasons(t *testing.T) {
-	// Child-only pattern at the document root: the root has one child,
-	// so child chunking has nothing to split.
-	e := engine(t, Options{Strategy: StrategyNoK, Trace: true, Parallelism: 4})
-	run(t, e, `/bib/book/title`)
+	// A chain document: every node below the root has at most one
+	// child, so there are no sibling ranges to split.
+	st := storage.MustLoad("<a><b><c><d/></c></b></a>")
+	e := New(st, Options{Strategy: StrategyNoK, Trace: true, Parallelism: 4})
+	run(t, e, `//c/d`)
 	assertReason(t, e, "single partition")
 
-	// The hybrid matcher has no parallel mode at all.
+	// The naive and hybrid matchers have no parallel mode at all.
+	e = engine(t, Options{Strategy: StrategyNaive, Trace: true, Parallelism: 4})
+	run(t, e, `//book//last`)
+	assertReason(t, e, "naive matcher has no parallel mode")
 	e = engine(t, Options{Strategy: StrategyHybrid, Trace: true, Parallelism: 4})
 	run(t, e, `//book//last`)
 	assertReason(t, e, "hybrid matcher has no parallel mode")
@@ -156,6 +160,44 @@ func assertReason(t *testing.T, e *Engine, want string) {
 	}
 	if !strings.Contains(e.Trace().Format(), "parallel=off ("+want+")") {
 		t.Errorf("Format lacks parallel=off (%s):\n%s", want, e.Trace().Format())
+	}
+}
+
+// TestParallelNoKRunsKernels: a parallel NoK dispatch runs on the batch
+// kernels whatever the pattern's shape, pinned or chosen, and also when
+// it finds nothing to partition and runs serially: the interpreter is
+// reached only by a serial dispatch.
+func TestParallelNoKRunsKernels(t *testing.T) {
+	chain := storage.MustLoad("<a><b><c><d/></c></b></a>")
+	for _, c := range []struct {
+		e *Engine
+		q string
+	}{
+		{auctionEngine(t, Options{Strategy: StrategyNoK, Parallelism: 4, Trace: true}), `//parlist//text`},
+		{auctionEngine(t, Options{Strategy: StrategyNoK, Parallelism: 2, Trace: true}), `/site/regions/*/item`},
+		{auctionEngine(t, Options{Strategy: StrategyNoK, Parallelism: 4, Trace: true}), `for $r in /site/regions/* return $r//listitem/text`},
+		{auctionEngine(t, Options{
+			Parallelism: 4,
+			Trace:       true,
+			Chooser:     choose(Choice{Strategy: StrategyNoK, Parallel: true}),
+		}), `//open_auction[bidder]/current`},
+		{auctionEngine(t, Options{Strategy: StrategyTwigStack, Parallelism: 4, Trace: true}), `for $r in /site/regions/* return $r//item/name`},
+		{New(chain, Options{Strategy: StrategyNoK, Parallelism: 4, Trace: true}), `//c/d`},
+	} {
+		if got := run(t, c.e, c.q); len(got) == 0 {
+			t.Fatalf("%s: no results", c.q)
+		}
+		m := c.e.Metrics
+		if n := m.TauByStrategy[StrategyNoK]; n == 0 || m.BatchedTau != n {
+			t.Fatalf("%s: %d of %d nok dispatches ran on the kernels", c.q, m.BatchedTau, n)
+		}
+		c.e.Trace().Visit(func(s *Span) {
+			for _, r := range s.Strategies {
+				if r.Executed == StrategyNoK && (!r.Batched || r.Workers == 0) {
+					t.Errorf("%s: nok record batched=%v workers=%d", c.q, r.Batched, r.Workers)
+				}
+			}
+		})
 	}
 }
 

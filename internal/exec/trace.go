@@ -75,11 +75,8 @@ type StrategyRecord struct {
 	ParallelReason string            `json:"parallel_reason,omitempty"`
 	Partitions     []tally.Partition `json:"partitions,omitempty"`
 	// Batched reports whether the dispatch ran on the compiled batch
-	// kernels; BatchedReason explains a fallback to the interpreter
-	// when the chooser asked for them ("pattern too large for batch
-	// kernels").
-	Batched       bool   `json:"batched,omitempty"`
-	BatchedReason string `json:"batched_reason,omitempty"`
+	// kernels.
+	Batched bool `json:"batched,omitempty"`
 	// Dur is the wall time of the dispatch itself (matcher entry to
 	// exit). The work counters in Actual are mode-independent — the
 	// batched kernels do the same logical work as the interpreter — so
@@ -165,8 +162,6 @@ func (s *Span) Format() string {
 			}
 			if r.Batched {
 				fmt.Fprintf(&b, " batched")
-			} else if r.BatchedReason != "" {
-				fmt.Fprintf(&b, " batched=off (%s)", r.BatchedReason)
 			}
 			fmt.Fprintf(&b, " actual{nodes=%d stream=%d sols=%d} contexts=%d matches=%d",
 				r.Actual.NodesVisited, r.Actual.StreamElems, r.Actual.Solutions, r.Contexts, r.Matches)

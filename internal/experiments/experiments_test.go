@@ -67,7 +67,6 @@ func TestExperimentsSmoke(t *testing.T) {
 		{"E13", E13HybridStrategy},
 		{"E14", func() *Table { return E14AnalyzerPruning(1) }},
 		{"E17", func() *Table { return E17Parallel([]int{1}, 2) }},
-		{"E17b", func() *Table { return E17SerialRegression(1) }},
 		{"E18", func() *Table { return E18BidWatch(1, 4) }},
 		{"E19", func() *Table { return E19Batched([]int{1}) }},
 		{"E20", func() *Table { return E20Calibration(1) }},

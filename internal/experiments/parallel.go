@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"time"
 
 	"xqp/internal/join"
 	"xqp/internal/nok"
@@ -11,10 +10,9 @@ import (
 	"xqp/internal/xmark"
 )
 
-// parallelQueries is the E17 workload: a deep descendant twig (many
-// frontier subtrees, the best case for partitioning), a shallow
-// high-fanout path, and a join-friendly chain that also exercises the
-// parallel stream scans of the holistic joins.
+// parallelQueries is the E17 workload: a deep descendant twig, a
+// shallow high-fanout path, and a join-friendly chain that also
+// exercises the parallel stream scans of the holistic joins.
 var parallelQueries = []string{
 	`//parlist//text`,
 	`//item/name`,
@@ -22,10 +20,10 @@ var parallelQueries = []string{
 }
 
 // E17Parallel compares serial against partitioned tree-pattern matching
-// on XMark auction documents. For NoK the parallel matcher decomposes
-// the context subtree into frontier subtrees and fans computeS/down
-// passes across a bounded pool; for TwigStack the per-vertex stream
-// scans run concurrently and the stack merge stays serial. Speedup is
+// on XMark auction documents. For NoK the serial batch kernel is set
+// against the parallel matcher, which runs one kernel per preorder
+// range on a bounded pool; for TwigStack the per-vertex stream scans run
+// concurrently and the stack merge stays serial. Speedup is
 // serial/parallel wall time, so values < 1 are slowdowns.
 //
 // The cpus column is the honest denominator: goroutines beyond
@@ -50,7 +48,14 @@ func E17Parallel(scales []int, workers int) *Table {
 			g := MustGraph(q)
 			root := []storage.NodeRef{st.Root()}
 
-			serialN := MatchNoK(st, g)
+			serialNoK := func() int {
+				refs, err := nok.MatchOutputBatched(st, g, root, nil, nil)
+				if err != nil {
+					panic(fmt.Sprintf("E17 %s: %v", q, err))
+				}
+				return len(refs)
+			}
+			serialN := serialNoK()
 			var parN int
 			var pr nok.ParallelResult
 			run := func() {
@@ -60,7 +65,7 @@ func E17Parallel(scales []int, workers int) *Table {
 				}
 				parN, pr = len(refs), r
 			}
-			dSerial := timeIt(func() { MatchNoK(st, g) })
+			dSerial := timeIt(func() { serialNoK() })
 			dPar := timeIt(run)
 			if parN != serialN {
 				panic(fmt.Sprintf("E17 %s: parallel %d matches, serial %d", q, parN, serialN))
@@ -69,7 +74,7 @@ func E17Parallel(scales []int, workers int) *Table {
 			if !pr.Parallel() {
 				panic(fmt.Sprintf("E17 %s: fell back to serial: %s", q, pr.Fallback))
 			}
-			t.AddRow(scale, q, "NoK", dSerial, dPar, ratio(dSerial, dPar), parts, runtime.NumCPU())
+			t.AddRow(scale, q, "NoK kernels", dSerial, dPar, ratio(dSerial, dPar), parts, runtime.NumCPU())
 
 			serialJ := MatchTwig(st, g)
 			var parJ, nstreams int
@@ -85,38 +90,6 @@ func E17Parallel(scales []int, workers int) *Table {
 			}
 			t.AddRow(scale, q, "TwigStack", dJSerial, dJPar, ratio(dJSerial, dJPar), nstreams, runtime.NumCPU())
 		}
-	}
-	return t
-}
-
-// E17SerialRegression guards the refactor that threaded partitioning
-// hooks through the serial matcher (the down-pass cut hook and the
-// vertex-set bitmap): MatchOutput with a nil hook must stay within
-// noise of itself across repeated samples — reported so the recorded
-// EXPERIMENTS.md numbers can be compared release over release.
-func E17SerialRegression(scale int) *Table {
-	t := &Table{
-		ID:      "E17b",
-		Title:   fmt.Sprintf("serial NoK stability after partition hooks (auction scale %d)", scale),
-		Columns: []string{"query", "sample 1", "sample 2", "sample 3", "max/min"},
-	}
-	st := xmark.StoreAuction(scale)
-	for _, q := range parallelQueries {
-		g := MustGraph(q)
-		var samples [3]time.Duration
-		for i := range samples {
-			samples[i] = timeIt(func() { MatchNoK(st, g) })
-		}
-		min, max := samples[0], samples[0]
-		for _, s := range samples[1:] {
-			if s < min {
-				min = s
-			}
-			if s > max {
-				max = s
-			}
-		}
-		t.AddRow(q, samples[0], samples[1], samples[2], ratio(max, min))
 	}
 	return t
 }

@@ -49,7 +49,7 @@ func checkBatchedAgrees(t *testing.T, st *storage.Store, q string, contexts []st
 		t.Fatalf("%s batched: no visits tallied", q)
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
-		pgot, _, err := MatchOutputParallelBatched(st, g, contexts, workers, nil, nil)
+		pgot, _, err := MatchOutputParallel(st, g, contexts, workers, nil, nil)
 		if err != nil {
 			t.Fatalf("%s batched workers=%d: %v", q, workers, err)
 		}
@@ -123,7 +123,7 @@ func TestBatchedWidePartitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, pr, err := MatchOutputParallelBatched(st, g, lists, 4, nil, nil)
+	got, pr, err := MatchOutputParallel(st, g, lists, 4, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestBatchedInterrupt(t *testing.T) {
 		t.Fatalf("serial err = %v, want boom", err)
 	}
 	calls.Store(0)
-	if _, _, err := MatchOutputParallelBatched(st, g, []storage.NodeRef{st.Root()}, 4, interrupt, nil); !errors.Is(err, boom) {
+	if _, _, err := MatchOutputParallel(st, g, []storage.NodeRef{st.Root()}, 4, interrupt, nil); !errors.Is(err, boom) {
 		t.Fatalf("parallel err = %v, want boom", err)
 	}
 }

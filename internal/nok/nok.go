@@ -118,8 +118,8 @@ func (m *matcher) poll() {
 	}
 }
 
-// pollAux checks the interrupt from partitioning and bookkeeping loops
-// (frontier selection, group sizing) on a separate cadence counter:
+// pollAux checks the interrupt from bookkeeping loops (the hybrid
+// matcher's candidate gathering) on a separate cadence counter:
 // that work is not pattern matching, so it must not inflate the
 // NodesVisited actual that traces compare against serial runs.
 func (m *matcher) pollAux() {
@@ -282,8 +282,7 @@ func (m *matcher) computeS(n storage.NodeRef) (s, below uint64) {
 }
 
 // vertexSet computes S(n) from the child cover and proper-descendant
-// union: the per-node test step of the upward pass, shared by the
-// recursive computeS and the parallel matcher's spine stitching.
+// union: the per-node test step of the upward pass.
 func (m *matcher) vertexSet(n storage.NodeRef, cover, deep uint64) (s uint64) {
 	for v := range m.g.Vertices {
 		if m.absent[v] {
@@ -460,7 +459,7 @@ func (m *matcher) run(contexts []storage.NodeRef, want []pattern.VertexID) Bindi
 			acc[0] = append(acc[0], ctx) // the anchor binds at the context node itself
 		}
 		for c := m.st.FirstChild(ctx); c != storage.NilRef; c = m.st.NextSibling(c) {
-			m.down(c, m.childMask[0], m.descMask[0], wantMask, acc, nil)
+			m.down(c, m.childMask[0], m.descMask[0], wantMask, acc)
 		}
 	}
 	return m.finish(acc, wantMask)
@@ -484,12 +483,8 @@ func (m *matcher) sizeWindow(contexts []storage.NodeRef) {
 	m.smask = make([]uint64, hi-lo)
 }
 
-// down is the downward pre-order pass of run, factored as a method so
-// the parallel matcher can resume it per partition. cut, when non-nil,
-// intercepts recursion into a child c with the masks it would receive;
-// returning true claims the subtree (the parallel matcher enqueues it
-// as a partition task instead of descending).
-func (m *matcher) down(n storage.NodeRef, allowedChild, allowedDesc, wantMask uint64, acc [][]storage.NodeRef, cut func(c storage.NodeRef, ac, ad uint64) bool) {
+// down is the downward pre-order pass of run.
+func (m *matcher) down(n storage.NodeRef, allowedChild, allowedDesc, wantMask uint64, acc [][]storage.NodeRef) {
 	m.poll()
 	bound := m.s(n) & (allowedChild | allowedDesc)
 	if bound&wantMask != 0 {
@@ -511,10 +506,7 @@ func (m *matcher) down(n storage.NodeRef, allowedChild, allowedDesc, wantMask ui
 		return
 	}
 	for c := m.st.FirstChild(n); c != storage.NilRef; c = m.st.NextSibling(c) {
-		if cut != nil && cut(c, nextChild, nextDesc) {
-			continue
-		}
-		m.down(c, nextChild, nextDesc, wantMask, acc, cut)
+		m.down(c, nextChild, nextDesc, wantMask, acc)
 	}
 }
 

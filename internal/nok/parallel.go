@@ -1,57 +1,42 @@
 package nok
 
 // Parallel intra-query tree-pattern matching: the τ operator evaluated
-// over disjoint partitions of the balanced-parentheses store on a
-// bounded goroutine pool.
+// by the compiled batch kernels over disjoint partitions of the
+// balanced-parentheses store on a bounded goroutine pool.
 //
 // The store's pre-order numbering makes a subtree a contiguous ref
-// range [n, n+SubtreeSize(n)), so disjoint subtrees partition both the
-// document and the matcher's S-bitmask window without locks: workers
-// share one smask array and write disjoint slices of it. Three
-// partitioning modes cover the matcher's shapes:
+// range [n, n+SubtreeSize(n)), so sibling subtrees tile their parent's
+// range and each partition is one kernel over its own window, with no
+// shared state. Two partitioning modes cover the matcher's inputs:
 //
-//   - one context, descendant edges (global passes): a *frontier* of
-//     subtree roots is carved out of the context's subtree by
-//     repeatedly splitting the largest subtree into its children. The
-//     upward pass runs per frontier subtree in parallel; the few nodes
-//     above the frontier (the spine: the context plus every split
-//     node) are stitched serially from the partition summaries; the
-//     downward pass walks the spine serially and fans out again at the
-//     frontier roots.
-//   - one context, child-only pattern: the context's children are
-//     chunked; each chunk navigates top-down independently, and the
-//     per-edge "found" witnesses are combined across chunks before the
-//     anchor is accepted.
-//   - many contexts: the context list is chunked and each chunk runs
-//     the full serial matcher. Contexts may be nested, so matches
-//     reachable from two contexts can straddle a chunk boundary — the
-//     merge must sort and deduplicate, never just concatenate.
+//   - one context: the spine of single-child nodes below the context is
+//     descended serially, and the first node with several children has
+//     them chunked into contiguous ranges of near-equal size. The upward
+//     passes run per range in parallel, the spine's vertex sets are
+//     stitched serially from the range summaries, and the downward
+//     passes fan out again over the same ranges.
+//   - many contexts: the context list is chunked and each chunk runs the
+//     serial kernel. Contexts may be nested, so matches reachable from
+//     two contexts can straddle a chunk boundary — the merge must sort
+//     and deduplicate, never just concatenate.
 //
 // Partial results merge back into document order; per-partition spans
 // are reported for execution traces.
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"xqp/internal/batch"
 	"xqp/internal/pattern"
 	"xqp/internal/storage"
 	"xqp/internal/tally"
 )
 
-const (
-	// partitionsPerWorker oversizes the partition count relative to the
-	// worker pool so uneven subtrees still keep every worker busy.
-	partitionsPerWorker = 4
-	// maxSplitRounds bounds the frontier refinement: degenerate chain
-	// documents would otherwise move one node per round forever.
-	maxSplitRounds = 64
-	// maxFrontier bounds the frontier size against pathologically wide
-	// nodes (a root with a million children).
-	maxFrontier = 1 << 14
-)
+// partitionsPerWorker oversizes the partition count relative to the
+// worker pool so uneven subtrees still keep every worker busy.
+const partitionsPerWorker = 4
 
 // ParallelResult describes how MatchOutputParallel executed.
 type ParallelResult struct {
@@ -68,77 +53,237 @@ type ParallelResult struct {
 // Parallel reports whether the parallel path actually executed.
 func (r ParallelResult) Parallel() bool { return r.Partitions != nil }
 
-// MatchOutputParallel is MatchOutputCounted evaluated over partitions
-// of the store on a pool of up to workers goroutines. interrupt (when
-// non-nil) must be safe for concurrent use — every worker polls it,
-// exactly like the engine's context-backed interrupts. Results are
-// identical to the serial matcher: merged into document order with
-// boundary duplicates removed. When no useful partitioning exists the
-// match runs serially and the result records the reason.
+// MatchOutputParallel is MatchOutputBatched evaluated over partitions
+// of the store on a pool of up to workers goroutines, one batch kernel
+// per partition. interrupt (when non-nil) must be safe for concurrent
+// use — every worker polls it, exactly like the engine's context-backed
+// interrupts. Results are identical to the serial matchers: merged into
+// document order with boundary duplicates removed. When no useful
+// partitioning exists the match runs serially and the result records
+// the reason. Like MatchOutputBatched it fails with batch.ErrTooLarge
+// for patterns over batch.MaxVertices vertices.
 func MatchOutputParallel(st *storage.Store, g *pattern.Graph, contexts []storage.NodeRef, workers int, interrupt func() error, c *tally.Counters) (refs []storage.NodeRef, pr ParallelResult, err error) {
-	m, err := newMatcher(st, g)
+	prog, err := batch.Compile(g)
 	if err != nil {
 		return nil, ParallelResult{Workers: workers}, err
 	}
-	m.interrupt = interrupt
+	bnd := prog.Bind(st)
+	var visits int64
 	if c != nil {
-		defer func() { c.NodesVisited += m.visits }()
+		defer func() { c.NodesVisited += visits }()
 	}
-	defer catchInterrupt(&err)
+	serial := func(reason string) ([]storage.NodeRef, ParallelResult, error) {
+		k := bnd.NewKernel(interrupt)
+		var out []storage.NodeRef
+		kerr := k.MatchOutput(contexts, func(blk []storage.NodeRef) {
+			out = append(out, blk...)
+		})
+		visits += k.Visits()
+		if kerr != nil {
+			return nil, ParallelResult{Workers: workers}, kerr
+		}
+		return mergeSorted(out), ParallelResult{Workers: workers, Fallback: reason}, nil
+	}
 	if workers < 2 {
-		refs, pr = m.serialOutput(contexts, workers, "workers < 2")
-		return refs, pr, nil
+		return serial("workers < 2")
 	}
 	if len(contexts) == 0 {
 		return nil, ParallelResult{Workers: workers, Fallback: "no context nodes"}, nil
 	}
-	for _, absent := range m.absent {
-		if absent {
-			// Some vertex's tag does not occur in this document: the
-			// pattern cannot match anywhere, no passes needed.
-			return nil, ParallelResult{Workers: workers, Fallback: "pattern tag absent from document"}, nil
-		}
+	if bnd.Dead() {
+		// Some vertex's tag does not occur in this document: the pattern
+		// cannot match anywhere, no passes needed.
+		return nil, ParallelResult{Workers: workers, Fallback: "pattern tag absent from document"}, nil
 	}
 	if len(contexts) > 1 {
-		return m.runContextChunks(contexts, workers)
+		return contextChunks(bnd, contexts, workers, interrupt, &visits)
 	}
-	if m.childOnly() {
-		return m.runChildChunks(contexts[0], workers)
+
+	// Single context: descend the spine of single-child nodes first —
+	// absolute queries anchor τ at the document root, whose subtree
+	// funnels through one top-level element before fanning out. The
+	// spine is evaluated serially (it is O(depth)); the first node with
+	// several children provides the sibling subtrees that tile its
+	// preorder range contiguously, so chunking at child boundaries
+	// yields disjoint forest ranges — one batch pipeline each, no
+	// shared window.
+	ctx := contexts[0]
+	spine := []storage.NodeRef{ctx}
+	var kids []storage.NodeRef
+	var aux int64
+	for {
+		cur := spine[len(spine)-1]
+		kids = kids[:0]
+		for ch := st.FirstChild(cur); ch != storage.NilRef; ch = st.NextSibling(ch) {
+			aux++
+			if interrupt != nil && aux%pollEvery == 0 {
+				if ierr := interrupt(); ierr != nil {
+					return nil, ParallelResult{Workers: workers}, ierr
+				}
+			}
+			kids = append(kids, ch)
+		}
+		if len(kids) != 1 {
+			break
+		}
+		spine = append(spine, kids[0])
 	}
-	return m.runFrontier(contexts[0], workers)
+	if len(kids) < 2 {
+		return serial("single partition")
+	}
+	fan := spine[len(spine)-1]
+	end := fan + storage.NodeRef(st.SubtreeSize(fan))
+	groups := groupBySize(st, kids, workers*partitionsPerWorker)
+	if len(groups) < 2 {
+		return serial("single partition")
+	}
+
+	type chunkState struct {
+		k           *batch.Kernel
+		lo, hi      storage.NodeRef
+		cover, deep uint64
+		out         []storage.NodeRef
+		err         error
+		dur         time.Duration
+	}
+	states := make([]*chunkState, len(groups))
+	collect := func() {
+		for _, cs := range states {
+			if cs != nil {
+				visits += cs.k.Visits()
+			}
+		}
+	}
+	firstErr := func(rerr error) error {
+		for _, cs := range states {
+			if rerr == nil && cs != nil && cs.err != nil {
+				rerr = cs.err
+			}
+		}
+		return rerr
+	}
+
+	// Phase 1: upward pass per chunk, in parallel. Each kernel owns the
+	// S/ends window of its own range.
+	rerr := runTasks(workers, len(groups), func(i int) {
+		t0 := time.Now()
+		lo := kids[groups[i][0]]
+		hi := end
+		if g1 := groups[i][1]; g1 < len(kids) {
+			hi = kids[g1]
+		}
+		cs := &chunkState{k: bnd.NewKernel(interrupt), lo: lo, hi: hi}
+		cs.k.Window(lo, hi)
+		cs.cover, cs.deep, cs.err = cs.k.UpRange(lo, hi)
+		cs.dur = time.Since(t0)
+		states[i] = cs
+	})
+	if rerr = firstErr(rerr); rerr != nil {
+		collect()
+		return nil, ParallelResult{Workers: workers}, rerr
+	}
+
+	// Phase 2: stitch serially up the spine from the chunk summaries.
+	// Each spine node's vertex set folds its single child's S and the
+	// subtree union below it, ending with the anchor test at the context.
+	var cover, deep uint64
+	for _, cs := range states {
+		cover |= cs.cover
+		deep |= cs.deep
+	}
+	visits += int64(len(spine))
+	sSpine := make([]uint64, len(spine))
+	for i := len(spine) - 1; i >= 0; i-- {
+		s := bnd.VertexSet(spine[i], cover, deep)
+		sSpine[i] = s
+		cover, deep = s, s|deep
+	}
+	parts := func() []tally.Partition {
+		ps := make([]tally.Partition, len(states))
+		for i, cs := range states {
+			ps[i] = tally.Partition{
+				Root:    int64(cs.lo),
+				Kind:    "range",
+				Nodes:   int64(cs.hi - cs.lo),
+				Matches: int64(len(cs.out)),
+				Dur:     cs.dur,
+			}
+		}
+		return ps
+	}
+	if sSpine[0]&1 == 0 {
+		// The anchor's downward constraints fail at the context: no
+		// matches anywhere, skip the downward passes.
+		collect()
+		return nil, ParallelResult{Workers: workers, Partitions: parts()}, nil
+	}
+
+	// Downward pass along the spine (document order: every spine node
+	// precedes every chunk node in preorder), yielding the allowed masks
+	// the fan-out node's children start from.
+	var out []storage.NodeRef
+	if bnd.OutputIsAnchor() {
+		out = append(out, ctx)
+	}
+	ac, ad := bnd.RootMasks()
+	for i := 1; i < len(spine); i++ {
+		emit, nac, nad := bnd.DescendStep(sSpine[i], ac, ad)
+		if emit {
+			out = append(out, spine[i])
+		}
+		ac, ad = nac, nad
+	}
+	if ac == 0 && ad == 0 {
+		// The allowed masks drained on the spine: nothing can bind in
+		// the chunks, skip the parallel downward passes.
+		collect()
+		return mergeSorted(out), ParallelResult{Workers: workers, Partitions: parts()}, nil
+	}
+
+	// Phase 3: downward pass per chunk, in parallel, over the windows
+	// phase 1 filled.
+	rerr = runTasks(workers, len(groups), func(i int) {
+		cs := states[i]
+		t0 := time.Now()
+		sink := func(blk []storage.NodeRef) { cs.out = append(cs.out, blk...) }
+		cs.err = cs.k.DownRange(cs.lo, cs.hi, ac, ad, sink)
+		cs.k.Flush(sink)
+		cs.dur += time.Since(t0)
+	})
+	if rerr = firstErr(rerr); rerr != nil {
+		collect()
+		return nil, ParallelResult{Workers: workers}, rerr
+	}
+	for _, cs := range states {
+		out = append(out, cs.out...)
+	}
+	collect()
+	return mergeSorted(out), ParallelResult{Workers: workers, Partitions: parts()}, nil
 }
 
-// serialOutput runs the serial matcher and tags the result with the
-// fallback reason.
-func (m *matcher) serialOutput(contexts []storage.NodeRef, workers int, reason string) ([]storage.NodeRef, ParallelResult) {
-	b := m.run(contexts, []pattern.VertexID{m.g.Output})
-	return b[m.g.Output], ParallelResult{Workers: workers, Fallback: reason}
-}
-
-// runContextChunks evaluates a multi-context τ by chunking the context
-// list: each chunk runs the full serial matcher on a worker. The merge
-// sorts and deduplicates because nested contexts may land in different
-// chunks yet produce the same matches (their subtrees overlap), so a
-// plain concatenation would double-report boundary matches.
-func (m *matcher) runContextChunks(contexts []storage.NodeRef, workers int) ([]storage.NodeRef, ParallelResult, error) {
-	want := []pattern.VertexID{m.g.Output}
+// contextChunks evaluates a multi-context τ by chunking the context
+// list, one batch pipeline per chunk. Nested contexts may land in
+// different chunks yet produce the same matches (their subtrees
+// overlap), so the merge sorts and deduplicates.
+func contextChunks(bnd *batch.Bound, contexts []storage.NodeRef, workers int, interrupt func() error, visits *int64) ([]storage.NodeRef, ParallelResult, error) {
 	nTasks := workers * partitionsPerWorker
 	if nTasks > len(contexts) {
 		nTasks = len(contexts)
 	}
 	bounds := chunkBounds(len(contexts), nTasks)
 	type chunkRes struct {
-		w    matcher
+		k    *batch.Kernel
 		refs []storage.NodeRef
+		err  error
 		dur  time.Duration
 	}
 	res := make([]*chunkRes, nTasks)
-	err := runTasks(workers, nTasks, func(i int) {
+	rerr := runTasks(workers, nTasks, func(i int) {
 		t0 := time.Now()
-		r := &chunkRes{w: *m}
-		r.w.smask, r.w.base = nil, 0
-		b := r.w.run(contexts[bounds[i]:bounds[i+1]], want)
-		r.refs = b[m.g.Output]
+		r := &chunkRes{k: bnd.NewKernel(interrupt)}
+		r.err = r.k.MatchOutput(contexts[bounds[i]:bounds[i+1]], func(blk []storage.NodeRef) {
+			r.refs = append(r.refs, blk...)
+		})
 		r.dur = time.Since(t0)
 		res[i] = r
 	})
@@ -148,7 +293,10 @@ func (m *matcher) runContextChunks(contexts []storage.NodeRef, workers int) ([]s
 		if r == nil {
 			continue // task aborted by an interrupt
 		}
-		m.visits += r.w.visits
+		*visits += r.k.Visits()
+		if rerr == nil && r.err != nil {
+			rerr = r.err
+		}
 		chunk := contexts[bounds[i]:bounds[i+1]]
 		parts = append(parts, tally.Partition{
 			Root:    int64(chunk[0]),
@@ -159,306 +307,10 @@ func (m *matcher) runContextChunks(contexts []storage.NodeRef, workers int) ([]s
 		})
 		out = append(out, r.refs...)
 	}
-	if err != nil {
-		return nil, ParallelResult{Workers: workers}, err
+	if rerr != nil {
+		return nil, ParallelResult{Workers: workers}, rerr
 	}
 	return mergeSorted(out), ParallelResult{Workers: workers, Partitions: parts}, nil
-}
-
-// runChildChunks evaluates a child-only pattern at a single context by
-// chunking the context's children into contiguous groups of near-equal
-// subtree size. Each group navigates top-down independently, recording
-// which of the anchor's pattern edges it witnessed; the anchor matches
-// only if every edge is witnessed by some group, so the combination
-// step — not any single worker — decides whether the recorded bindings
-// survive.
-func (m *matcher) runChildChunks(ctx storage.NodeRef, workers int) ([]storage.NodeRef, ParallelResult, error) {
-	edges := m.g.Children[0]
-	var kids []storage.NodeRef
-	for c := m.st.FirstChild(ctx); c != storage.NilRef; c = m.st.NextSibling(c) {
-		m.pollAux()
-		kids = append(kids, c)
-	}
-	if len(edges) == 0 || len(kids) < 2 {
-		refs, pr := m.serialOutput([]storage.NodeRef{ctx}, workers, "single partition")
-		return refs, pr, nil
-	}
-	groups := groupBySize(m.st, kids, workers*partitionsPerWorker)
-	if len(groups) < 2 {
-		refs, pr := m.serialOutput([]storage.NodeRef{ctx}, workers, "single partition")
-		return refs, pr, nil
-	}
-	type childRes struct {
-		w     matcher
-		acc   [][]storage.NodeRef
-		found []bool
-		dur   time.Duration
-	}
-	res := make([]*childRes, len(groups))
-	err := runTasks(workers, len(groups), func(i int) {
-		t0 := time.Now()
-		r := &childRes{
-			w:     *m,
-			acc:   make([][]storage.NodeRef, m.g.VertexCount()),
-			found: make([]bool, len(edges)),
-		}
-		for _, kid := range kids[groups[i][0]:groups[i][1]] {
-			for ei, e := range edges {
-				if r.w.topDown(kid, e.To, r.acc) {
-					r.found[ei] = true
-				}
-			}
-		}
-		r.dur = time.Since(t0)
-		res[i] = r
-	})
-	if err != nil {
-		for _, r := range res {
-			if r != nil {
-				m.visits += r.w.visits
-			}
-		}
-		return nil, ParallelResult{Workers: workers}, err
-	}
-	allFound := true
-	for ei := range edges {
-		found := false
-		for _, r := range res {
-			found = found || r.found[ei]
-		}
-		if !found {
-			allFound = false
-			break
-		}
-	}
-	var out []storage.NodeRef
-	parts := make([]tally.Partition, len(groups))
-	for i, r := range res {
-		m.visits += r.w.visits
-		var nodes int64
-		for _, kid := range kids[groups[i][0]:groups[i][1]] {
-			nodes += int64(m.st.SubtreeSize(kid))
-		}
-		matches := 0
-		if allFound {
-			matches = len(r.acc[m.g.Output])
-			out = append(out, r.acc[m.g.Output]...)
-		}
-		parts[i] = tally.Partition{
-			Root:    int64(kids[groups[i][0]]),
-			Kind:    "children",
-			Nodes:   nodes,
-			Matches: int64(matches),
-			Dur:     r.dur,
-		}
-	}
-	if allFound && m.g.Output == 0 {
-		out = append(out, ctx)
-	}
-	return mergeSorted(out), ParallelResult{Workers: workers, Partitions: parts}, nil
-}
-
-// downTask is a suspended downward-pass recursion at a frontier root:
-// the masks are exactly what the serial pass would have recursed with.
-type downTask struct {
-	n      storage.NodeRef
-	ac, ad uint64
-}
-
-// runFrontier evaluates a general (descendant-edge) pattern at a single
-// context with frontier decomposition: parallel upward pass per frontier
-// subtree, serial spine stitching, then a downward pass that runs
-// serially over the spine and fans out again at the frontier roots.
-func (m *matcher) runFrontier(ctx storage.NodeRef, workers int) ([]storage.NodeRef, ParallelResult, error) {
-	target := workers * partitionsPerWorker
-	frontier, spine := m.pickFrontier(ctx, target)
-	if len(frontier) < 2 {
-		refs, pr := m.serialOutput([]storage.NodeRef{ctx}, workers, "single partition")
-		return refs, pr, nil
-	}
-	groups := groupBySize(m.st, frontier, target)
-	if len(groups) < 2 {
-		refs, pr := m.serialOutput([]storage.NodeRef{ctx}, workers, "single partition")
-		return refs, pr, nil
-	}
-	// One S window covers the whole context subtree; frontier subtrees
-	// are disjoint ref ranges, so workers write disjoint slices of it.
-	m.base = ctx
-	m.smask = make([]uint64, m.st.SubtreeSize(ctx))
-
-	// Phase 1: upward pass per frontier subtree, in parallel. belows[i]
-	// is the S-union over frontier[i]'s proper descendants, needed when
-	// the spine is stitched.
-	type taskState struct {
-		w   matcher
-		acc [][]storage.NodeRef
-		dur time.Duration
-	}
-	states := make([]*taskState, len(groups))
-	belows := make([]uint64, len(frontier))
-	err := runTasks(workers, len(groups), func(i int) {
-		t0 := time.Now()
-		ts := &taskState{w: *m}
-		for j := groups[i][0]; j < groups[i][1]; j++ {
-			_, below := ts.w.computeS(frontier[j])
-			belows[j] = below
-		}
-		ts.dur = time.Since(t0)
-		states[i] = ts
-	})
-	if err != nil {
-		for _, ts := range states {
-			if ts != nil {
-				m.visits += ts.w.visits
-			}
-		}
-		return nil, ParallelResult{Workers: workers}, err
-	}
-
-	// Phase 2: stitch the spine serially. Every child of a spine node is
-	// a spine node or a frontier root, so processing spine nodes in
-	// descending pre-order (descendants first) has all child summaries
-	// available.
-	frontIdx := make(map[storage.NodeRef]int, len(frontier))
-	for i, f := range frontier {
-		frontIdx[f] = i
-	}
-	sort.Slice(spine, func(i, j int) bool { return spine[i] > spine[j] })
-	spineBelow := make(map[storage.NodeRef]uint64, len(spine))
-	for _, n := range spine {
-		m.pollAux()
-		var cover, deep uint64
-		for c := m.st.FirstChild(n); c != storage.NilRef; c = m.st.NextSibling(c) {
-			m.pollAux()
-			cs := m.s(c)
-			cb, ok := spineBelow[c]
-			if !ok {
-				cb = belows[frontIdx[c]]
-			}
-			cover |= cs
-			deep |= cs | cb
-		}
-		m.setS(n, m.vertexSet(n, cover, deep))
-		spineBelow[n] = deep
-	}
-
-	finishParts := func() []tally.Partition {
-		parts := make([]tally.Partition, len(groups))
-		for i, gr := range groups {
-			ts := states[i]
-			var nodes int64
-			for j := gr[0]; j < gr[1]; j++ {
-				nodes += int64(m.st.SubtreeSize(frontier[j]))
-			}
-			matches := 0
-			if ts.acc != nil {
-				matches = len(ts.acc[m.g.Output])
-			}
-			parts[i] = tally.Partition{
-				Root:    int64(frontier[gr[0]]),
-				Kind:    "subtree",
-				Nodes:   nodes,
-				Matches: int64(matches),
-				Dur:     ts.dur,
-			}
-			m.visits += ts.w.visits
-		}
-		return parts
-	}
-
-	if m.s(ctx)&1 == 0 {
-		// The anchor's downward constraints fail at the context: no
-		// matches anywhere, skip the downward pass.
-		return nil, ParallelResult{Workers: workers, Partitions: finishParts()}, nil
-	}
-
-	// Phase 3: downward pass. The spine walk runs serially, suspending
-	// at frontier roots; the suspended recursions then run in parallel,
-	// grouped exactly like phase 1.
-	wantMask := uint64(1) << uint(m.g.Output)
-	groupOf := make([]int, len(frontier))
-	for gi, gr := range groups {
-		for j := gr[0]; j < gr[1]; j++ {
-			groupOf[j] = gi
-		}
-	}
-	taskOf := make([][]downTask, len(groups))
-	cut := func(c storage.NodeRef, ac, ad uint64) bool {
-		fi, ok := frontIdx[c]
-		if !ok {
-			return false
-		}
-		taskOf[groupOf[fi]] = append(taskOf[groupOf[fi]], downTask{n: c, ac: ac, ad: ad})
-		return true
-	}
-	topAcc := make([][]storage.NodeRef, m.g.VertexCount())
-	if wantMask&1 != 0 {
-		topAcc[0] = append(topAcc[0], ctx)
-	}
-	for c := m.st.FirstChild(ctx); c != storage.NilRef; c = m.st.NextSibling(c) {
-		if cut(c, m.childMask[0], m.descMask[0]) {
-			continue
-		}
-		m.down(c, m.childMask[0], m.descMask[0], wantMask, topAcc, cut)
-	}
-	err = runTasks(workers, len(groups), func(i int) {
-		ts := states[i]
-		t0 := time.Now()
-		ts.acc = make([][]storage.NodeRef, m.g.VertexCount())
-		for _, dt := range taskOf[i] {
-			ts.w.down(dt.n, dt.ac, dt.ad, wantMask, ts.acc, nil)
-		}
-		ts.dur += time.Since(t0)
-	})
-	if err != nil {
-		for _, ts := range states {
-			if ts != nil {
-				m.visits += ts.w.visits
-			}
-		}
-		return nil, ParallelResult{Workers: workers}, err
-	}
-	out := append([]storage.NodeRef(nil), topAcc[m.g.Output]...)
-	for _, ts := range states {
-		out = append(out, ts.acc[m.g.Output]...)
-	}
-	return mergeSorted(out), ParallelResult{Workers: workers, Partitions: finishParts()}, nil
-}
-
-// pickFrontier selects disjoint subtree roots covering ctx's subtree
-// minus a small residual spine: starting from ctx's children, the
-// largest oversized subtree is repeatedly split into its children until
-// every subtree is at most a fair share of the total or the refinement
-// bounds hit. The returned frontier is in document order; spine holds
-// ctx and every split node (exactly the nodes above the frontier).
-func (m *matcher) pickFrontier(ctx storage.NodeRef, target int) (frontier, spine []storage.NodeRef) {
-	spine = append(spine, ctx)
-	for c := m.st.FirstChild(ctx); c != storage.NilRef; c = m.st.NextSibling(c) {
-		m.pollAux()
-		frontier = append(frontier, c)
-	}
-	fair := m.st.SubtreeSize(ctx)/target + 1
-	for round := 0; round < maxSplitRounds && len(frontier) < maxFrontier; round++ {
-		best, bestSize := -1, fair
-		for i, f := range frontier {
-			m.pollAux()
-			if s := m.st.SubtreeSize(f); s > bestSize && m.st.FirstChild(f) != storage.NilRef {
-				best, bestSize = i, s
-			}
-		}
-		if best < 0 {
-			break
-		}
-		split := frontier[best]
-		frontier = append(frontier[:best], frontier[best+1:]...)
-		spine = append(spine, split)
-		for c := m.st.FirstChild(split); c != storage.NilRef; c = m.st.NextSibling(c) {
-			m.pollAux()
-			frontier = append(frontier, c)
-		}
-	}
-	sortRefs(frontier)
-	return frontier, spine
 }
 
 // groupBySize splits doc-ordered disjoint subtree roots into at most k

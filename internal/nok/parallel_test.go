@@ -96,22 +96,28 @@ func TestParallelDeepRelativePattern(t *testing.T) {
 	checkParallelAgrees(t, st, "//section//title", sections, 4)
 }
 
-// TestParallelFrontierModes pins the partitioning mode per query shape
-// on a single root context: descendant patterns decompose by frontier
-// subtrees, child-only patterns by child chunks.
-func TestParallelFrontierModes(t *testing.T) {
+// TestParallelPartitionModes pins the partitioning mode per input: a
+// single context partitions its subtree into preorder ranges, whatever
+// the pattern's shape, and many contexts partition the context list.
+func TestParallelPartitionModes(t *testing.T) {
 	st := xmark.StoreAuction(2)
 	root := []storage.NodeRef{st.Root()}
+	// The <people> element holds one <person> child per person: enough
+	// children to chunk for a child-only pattern at a non-root context.
+	people := nodesNamed(st, "people")
 	cases := []struct {
-		q    string
-		kind string
+		q        string
+		contexts []storage.NodeRef
+		kind     string
 	}{
-		{"//item/name", "subtree"},
-		{"//parlist//text", "subtree"},
-		{"//open_auction[bidder]/current", "subtree"},
+		{"//item/name", root, "range"},
+		{"//parlist//text", root, "range"},
+		{"//open_auction[bidder]/current", root, "range"},
+		{"person[profile]/name", people[:1], "range"},
+		{"name", nodesNamed(st, "person"), "contexts"},
 	}
 	for _, c := range cases {
-		pr := checkParallelAgrees(t, st, c.q, root, 4)
+		pr := checkParallelAgrees(t, st, c.q, c.contexts, 4)
 		if !pr.Parallel() {
 			t.Fatalf("%s: fell back to serial: %s", c.q, pr.Fallback)
 		}
@@ -119,18 +125,6 @@ func TestParallelFrontierModes(t *testing.T) {
 			if p.Kind != c.kind {
 				t.Fatalf("%s: partition kind = %q, want %q", c.q, p.Kind, c.kind)
 			}
-		}
-	}
-	// Child-only pattern at a context with enough children to chunk: the
-	// <people> element holds one <person> child per person.
-	people := nodesNamed(st, "people")
-	pr := checkParallelAgrees(t, st, "person[profile]/name", people[:1], 4)
-	if !pr.Parallel() {
-		t.Fatalf("person[profile]/name: fell back to serial: %s", pr.Fallback)
-	}
-	for _, p := range pr.Partitions {
-		if p.Kind != "children" {
-			t.Fatalf("person[profile]/name: partition kind = %q, want children", p.Kind)
 		}
 	}
 }
@@ -201,12 +195,12 @@ func TestParallelInterrupt(t *testing.T) {
 
 // TestParallelVisitsCounted checks the tally sink aggregates worker
 // visit counts: parallel execution must report work of the same order
-// as the serial pass, not zero and not once per worker.
+// as the serial kernel, not zero and not once per worker.
 func TestParallelVisitsCounted(t *testing.T) {
 	st := xmark.StoreAuction(2)
 	g := graphOf(t, "//item/name")
 	var serial, par tally.Counters
-	if _, err := MatchOutputCounted(st, g, []storage.NodeRef{st.Root()}, nil, &serial); err != nil {
+	if _, err := MatchOutputBatched(st, g, []storage.NodeRef{st.Root()}, nil, &serial); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := MatchOutputParallel(st, g, []storage.NodeRef{st.Root()}, 4, nil, &par); err != nil {
@@ -242,51 +236,6 @@ func TestGroupBySizeCovers(t *testing.T) {
 		}
 		if prev != len(kids) {
 			t.Fatalf("k=%d: groups end at %d, want %d", k, prev, len(kids))
-		}
-	}
-}
-
-// TestPickFrontierInvariants checks the frontier/spine decomposition:
-// frontier subtrees are disjoint and cover the context subtree minus the
-// spine, and every spine child is a spine node or frontier root.
-func TestPickFrontierInvariants(t *testing.T) {
-	for _, mk := range []func() *storage.Store{
-		func() *storage.Store { return xmark.StoreAuction(2) },
-		func() *storage.Store { return storage.FromDoc(xmark.Deep(3, 40)) },
-		func() *storage.Store { return xmark.StoreWide(500) },
-	} {
-		st := mk()
-		m, err := newMatcher(st, graphOf(t, "//title"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx := st.Root()
-		frontier, spine := m.pickFrontier(ctx, 16)
-		inSpine := map[storage.NodeRef]bool{}
-		for _, s := range spine {
-			inSpine[s] = true
-		}
-		inFrontier := map[storage.NodeRef]bool{}
-		var covered int
-		for i, f := range frontier {
-			inFrontier[f] = true
-			covered += st.SubtreeSize(f)
-			if i > 0 && frontier[i] <= frontier[i-1] {
-				t.Fatal("frontier not in document order")
-			}
-			if inSpine[f] {
-				t.Fatal("node both spine and frontier")
-			}
-		}
-		if covered+len(spine) != st.SubtreeSize(ctx) {
-			t.Fatalf("frontier covers %d + spine %d != subtree %d", covered, len(spine), st.SubtreeSize(ctx))
-		}
-		for _, s := range spine {
-			for c := st.FirstChild(s); c != storage.NilRef; c = st.NextSibling(c) {
-				if !inSpine[c] && !inFrontier[c] {
-					t.Fatalf("spine child %d neither spine nor frontier", c)
-				}
-			}
 		}
 	}
 }

@@ -25,6 +25,10 @@ func (p *parser) parseDirectCtor() (ast.Expr, error) {
 // scanElement scans an element whose name starts at pos (after '<').
 // It returns the constructor and the position just past the element.
 func (p *parser) scanElement(pos int) (*ast.ElementCtor, int, error) {
+	defer p.leave()
+	if err := p.enter(pos); err != nil {
+		return nil, 0, err
+	}
 	src := p.l.src
 	name, pos, err := p.scanQName(pos)
 	if err != nil {

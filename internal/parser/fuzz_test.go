@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"strings"
 	"testing"
 	"unicode/utf8"
 )
@@ -24,6 +25,9 @@ func FuzzParseQuery(f *testing.F) {
 		"ancestor::book/preceding-sibling::title",
 		"text()",
 		"..//a[not(b)]",
+		// One level past MaxDepth: the depth error, not a stack overflow.
+		strings.Repeat("(", MaxDepth) + "1" + strings.Repeat(")", MaxDepth),
+		"9223372036854775808",
 	} {
 		f.Add(seed)
 	}

@@ -6,6 +6,7 @@ package parser
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -72,6 +73,7 @@ type token struct {
 	pos   int    // byte offset in source
 	num   float64
 	isInt bool
+	ival  int64 // an integer literal's exact value (isInt)
 }
 
 // SyntaxError reports a parse failure with its source position.
@@ -341,11 +343,19 @@ func (l *lexer) lexNumber() (token, error) {
 		}
 	}
 	text := l.src[start:l.pos]
+	if isInt {
+		// Integer literals are read exactly, never through a float64.
+		iv, err := strconv.ParseInt(text, 10, 64)
+		if err != nil {
+			return token{}, l.errAt(start, "FOAR0002: integer literal %s out of range", text)
+		}
+		return token{kind: tokNumber, text: text, pos: start, num: float64(iv), isInt: true, ival: iv}, nil
+	}
 	var val float64
 	if _, err := fmt.Sscanf(text, "%g", &val); err != nil {
 		return token{}, l.errAt(start, "bad number %q", text)
 	}
-	return token{kind: tokNumber, text: text, pos: start, num: val, isInt: isInt}, nil
+	return token{kind: tokNumber, text: text, pos: start, num: val}, nil
 }
 
 func (l *lexer) lexName() (token, error) {

@@ -33,9 +33,32 @@ func MustParse(src string) ast.Expr {
 	return e
 }
 
+// MaxDepth bounds how deeply a query's expressions nest, counting the
+// outermost expression as one level: each parenthesis, predicate,
+// function argument, clause body, enclosed expression and direct
+// element constructor opens one more. The parser and every later stage
+// (translation, rewrite, analysis, evaluation) recurse over the tree,
+// so the bound keeps a small query from exhausting the goroutine stack.
+const MaxDepth = 1000
+
 type parser struct {
 	l *lexer
+	// depth is the current nesting level (see MaxDepth).
+	depth int
 }
+
+// enter opens one nesting level at source position pos and fails with a
+// positioned syntax error beyond MaxDepth. Every call, failed or not,
+// is paired with a deferred leave.
+func (p *parser) enter(pos int) error {
+	p.depth++
+	if p.depth > MaxDepth {
+		return p.l.errAt(pos, "expression nests deeper than %d levels", MaxDepth)
+	}
+	return nil
+}
+
+func (p *parser) leave() { p.depth-- }
 
 type lexState struct {
 	pos    int
@@ -151,6 +174,14 @@ func (p *parser) parseExpr() (ast.Expr, error) {
 }
 
 func (p *parser) parseExprSingle() (ast.Expr, error) {
+	t, err := p.peek()
+	if err != nil {
+		return nil, err
+	}
+	defer p.leave()
+	if err := p.enter(t.pos); err != nil {
+		return nil, err
+	}
 	if ok, err := p.keywordThenDollar("for"); err != nil {
 		return nil, err
 	} else if ok {
@@ -1086,7 +1117,7 @@ func (p *parser) parsePrimary() (ast.Expr, error) {
 		if _, err := p.next(); err != nil {
 			return nil, err
 		}
-		return &ast.NumberLit{Val: t.num, IsInt: t.isInt}, nil
+		return &ast.NumberLit{Val: t.num, IsInt: t.isInt, Int: t.ival}, nil
 	case tokDollar:
 		if _, err := p.next(); err != nil {
 			return nil, err

@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -282,6 +283,52 @@ func TestParseNumbers(t *testing.T) {
 	}
 	if n := parseOK(t, ".5").(*ast.NumberLit); n.Val != 0.5 {
 		t.Fatalf(".5 = %#v", n)
+	}
+}
+
+// TestParseIntegerLiterals: integer literals are read exactly, and one
+// outside the int64 range is a positioned FOAR0002 error.
+func TestParseIntegerLiterals(t *testing.T) {
+	if n := parseOK(t, "9007199254740993").(*ast.NumberLit); n.Int != 9007199254740993 || !n.IsInt {
+		t.Fatalf("9007199254740993 = %#v", n)
+	}
+	if n := parseOK(t, "9223372036854775807").(*ast.NumberLit); n.Int != 9223372036854775807 {
+		t.Fatalf("9223372036854775807 = %#v", n)
+	}
+	_, err := Parse("1 + 9223372036854775808")
+	var se *SyntaxError
+	if !errors.As(err, &se) || se.Col != 5 || !strings.Contains(se.Msg, "FOAR0002") {
+		t.Fatalf("err = %v, want FOAR0002 at column 5", err)
+	}
+}
+
+// TestParseDepthLimit: nesting up to MaxDepth levels parses; one more
+// is a positioned syntax error, not a stack overflow, and so is a
+// nesting far deeper than the goroutine stack could hold.
+func TestParseDepthLimit(t *testing.T) {
+	nest := func(open, close string, n int) string {
+		return strings.Repeat(open, n) + "1" + strings.Repeat(close, n)
+	}
+	// The outermost expression is the first level.
+	for _, c := range [][2]string{{"(", ")"}, {"(1+", ")"}, {"count(", ")"}, {"<e>{", "}</e>"}} {
+		levels := MaxDepth - 1
+		if c[0] == "<e>{" {
+			levels = (MaxDepth - 1) / 2 // an element and its enclosed expression
+		}
+		parseOK(t, nest(c[0], c[1], levels))
+		_, err := Parse(nest(c[0], c[1], levels+1))
+		var se *SyntaxError
+		if !errors.As(err, &se) || !strings.Contains(se.Msg, "nests deeper than") {
+			t.Fatalf("%s×%d: err = %v, want a depth error", c[0], levels+1, err)
+		}
+	}
+	_, err := Parse(nest("(", ")", MaxDepth))
+	var se *SyntaxError
+	if !errors.As(err, &se) || se.Pos != MaxDepth {
+		t.Fatalf("err = %v, want a depth error at the innermost literal, offset %d", err, MaxDepth)
+	}
+	if _, err := Parse(nest("(", ")", 2000000)); err == nil {
+		t.Fatal("2 000 000 levels parsed")
 	}
 }
 

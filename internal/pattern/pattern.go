@@ -432,7 +432,7 @@ func literalItem(e ast.Expr) (value.Item, bool) {
 		return value.Str(l.Val), true
 	case *ast.NumberLit:
 		if l.IsInt {
-			return value.Int(int64(l.Val)), true
+			return value.Int(l.Int), true
 		}
 		return value.Dbl(l.Val), true
 	}

@@ -422,7 +422,7 @@ func predExprFromCmp(op value.CmpOp, p *core.PathOp, lit value.Item) ast.Expr {
 	var litExpr ast.Expr
 	switch l := lit.(type) {
 	case value.Int:
-		litExpr = &ast.NumberLit{Val: float64(l), IsInt: true}
+		litExpr = &ast.NumberLit{Val: float64(l), IsInt: true, Int: int64(l)}
 	case value.Dbl:
 		litExpr = &ast.NumberLit{Val: float64(l)}
 	default:

@@ -5,6 +5,8 @@
 package value
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -246,6 +248,12 @@ func compareItems(op CmpOp, x, y Item) (bool, error) {
 	if _, ok := y.(Bool); ok {
 		return false, typeErrf("cannot compare %s with boolean", ItemKind(x))
 	}
+	if xi, ok := x.(Int); ok {
+		if yi, ok := y.(Int); ok {
+			// Exact: two integers beyond 2^53 may share a float64.
+			return cmpResult(op, cmp.Compare(xi, yi)), nil
+		}
+	}
 	if IsNumeric(x) || IsNumeric(y) {
 		fx, fy := NumberOf(x), NumberOf(y)
 		if math.IsNaN(fx) || math.IsNaN(fy) {
@@ -302,6 +310,14 @@ const (
 	OpMod
 )
 
+// ErrOverflow is XQuery's FOAR0002: an integer literal or the result of
+// an integer operation falls outside the int64 range.
+var ErrOverflow = errors.New("FOAR0002: integer overflow")
+
+func overflowf(op ArithOp, x, y Int) error {
+	return fmt.Errorf("%w: %d %s %d", ErrOverflow, x, [...]string{"+", "-", "*", "div", "idiv", "mod"}[op], y)
+}
+
 // Arith applies an arithmetic operator to two sequences under XQuery
 // rules: empty operand propagates to empty; operands must be singletons.
 func Arith(op ArithOp, l, r Sequence) (Sequence, error) {
@@ -318,14 +334,29 @@ func Arith(op ArithOp, l, r Sequence) (Sequence, error) {
 	if xIsInt && yIsInt {
 		switch op {
 		case OpAdd:
-			return Singleton(Int(xi + yi)), nil
+			s := xi + yi
+			if (xi^s)&(yi^s) < 0 {
+				return nil, overflowf(op, xi, yi)
+			}
+			return Singleton(Int(s)), nil
 		case OpSub:
-			return Singleton(Int(xi - yi)), nil
+			d := xi - yi
+			if (xi^yi)&(xi^d) < 0 {
+				return nil, overflowf(op, xi, yi)
+			}
+			return Singleton(Int(d)), nil
 		case OpMul:
-			return Singleton(Int(xi * yi)), nil
+			p := xi * yi
+			if xi != 0 && (p/xi != yi || xi == -1 && yi == math.MinInt64) {
+				return nil, overflowf(op, xi, yi)
+			}
+			return Singleton(Int(p)), nil
 		case OpIDiv:
 			if yi == 0 {
 				return nil, typeErrf("integer division by zero")
+			}
+			if xi == math.MinInt64 && yi == -1 {
+				return nil, overflowf(op, xi, yi)
 			}
 			return Singleton(Int(xi / yi)), nil
 		case OpMod:
@@ -337,7 +368,7 @@ func Arith(op ArithOp, l, r Sequence) (Sequence, error) {
 			if yi == 0 {
 				return nil, typeErrf("division by zero")
 			}
-			if xi%yi == 0 {
+			if xi%yi == 0 && !(xi == math.MinInt64 && yi == -1) {
 				return Singleton(Int(xi / yi)), nil
 			}
 			return Singleton(Dbl(float64(xi) / float64(yi))), nil
@@ -357,7 +388,11 @@ func Arith(op ArithOp, l, r Sequence) (Sequence, error) {
 		if fy == 0 {
 			return nil, typeErrf("integer division by zero")
 		}
-		return Singleton(Int(int64(fx / fy))), nil
+		q := math.Trunc(fx / fy)
+		if math.IsNaN(q) || q < math.MinInt64 || q >= math.MaxInt64 {
+			return nil, fmt.Errorf("%w: %v idiv %v", ErrOverflow, fx, fy)
+		}
+		return Singleton(Int(int64(q))), nil
 	case OpMod:
 		return Singleton(Dbl(math.Mod(fx, fy))), nil
 	}

@@ -1,6 +1,7 @@
 package value
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -169,6 +170,38 @@ func TestArith(t *testing.T) {
 	res, err = Arith(OpAdd, Singleton(Str("x")), Singleton(Int(1)))
 	if err != nil || !math.IsNaN(float64(res[0].(Dbl))) {
 		t.Fatalf(`"x"+1 = %v, %v`, res, err)
+	}
+}
+
+// TestArithOverflow: integer results outside int64 raise ErrOverflow
+// (FOAR0002); the one integer div whose quotient does not fit returns
+// the double quotient instead of wrapping.
+func TestArithOverflow(t *testing.T) {
+	minInt := Singleton(Int(math.MinInt64))
+	for _, c := range []struct {
+		op   ArithOp
+		x, y Sequence
+	}{
+		{OpAdd, Singleton(Int(math.MaxInt64)), Singleton(Int(1))},
+		{OpSub, minInt, Singleton(Int(1))},
+		{OpMul, Singleton(Int(math.MaxInt64)), Singleton(Int(2))},
+		{OpMul, Singleton(Int(-1)), minInt},
+		{OpMul, minInt, Singleton(Int(-1))},
+		{OpIDiv, minInt, Singleton(Int(-1))},
+		{OpIDiv, Singleton(Dbl(1e300)), Singleton(Int(1))},
+		{OpIDiv, Singleton(Dbl(math.NaN())), Singleton(Int(1))},
+	} {
+		if _, err := Arith(c.op, c.x, c.y); !errors.Is(err, ErrOverflow) {
+			t.Errorf("%v op %d %v: err = %v, want ErrOverflow", c.x, c.op, c.y, err)
+		}
+	}
+	res, err := Arith(OpDiv, minInt, Singleton(Int(-1)))
+	if err != nil || res[0] != Dbl(9223372036854775808) {
+		t.Fatalf("MinInt64 div -1 = %v, %v", res, err)
+	}
+	res, err = Arith(OpMod, minInt, Singleton(Int(-1)))
+	if err != nil || res[0] != Int(0) {
+		t.Fatalf("MinInt64 mod -1 = %v, %v", res, err)
 	}
 }
 

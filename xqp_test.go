@@ -1,10 +1,12 @@
 package xqp
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"xqp/internal/parser"
 	"xqp/internal/rewrite"
 )
 
@@ -681,5 +683,97 @@ func TestExplainAnnotated(t *testing.T) {
 	out := q.ExplainAnnotated()
 	if !strings.Contains(out, "[node many]") {
 		t.Fatalf("missing annotations:\n%s", out)
+	}
+}
+
+// TestLargePatternsRunNaive: a path over 64 steps fits none of NoK's
+// bitmask matchers, so the default strategy and a pinned NoK or hybrid
+// run it on the naive matcher and answer exactly as naive does.
+func TestLargePatternsRunNaive(t *testing.T) {
+	db, err := OpenString("<a>" + strings.Repeat("<b>", 70) + strings.Repeat("</b>", 70) + "</a>")
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := strings.TrimSuffix(strings.Repeat("b/", 66), "/")
+	for _, src := range []string{"/a/" + steps, "//" + steps} {
+		want, err := db.QueryWith(src, Options{Strategy: Naive})
+		if err != nil {
+			t.Fatalf("%s [naive]: %v", src, err)
+		}
+		if len(want.Seq) == 0 {
+			t.Fatalf("%s: naive found no matches", src)
+		}
+		for _, opts := range []Options{{}, {Strategy: NoK}, {Strategy: NoK, Parallelism: 4}, {Strategy: Hybrid}} {
+			got, err := db.QueryWith(src, opts)
+			if err != nil {
+				t.Fatalf("%s %+v: %v", src, opts, err)
+			}
+			if got.XML() != want.XML() {
+				t.Fatalf("%s %+v: %d items, naive %d", src, opts, len(got.Seq), len(want.Seq))
+			}
+		}
+	}
+}
+
+// TestNestingDepthLimit: a query nested parser.MaxDepth levels deep
+// compiles and runs through the facade; one level more is a syntax
+// error.
+func TestNestingDepthLimit(t *testing.T) {
+	db := mustDB(t)
+	nest := func(n int) string { return strings.Repeat("(1+", n) + "1" + strings.Repeat(")", n) }
+	// The outermost expression is the first level.
+	res := q(t, db, nest(parser.MaxDepth-1))
+	if got := strings.Join(res.Strings(), " "); got != strconv.Itoa(parser.MaxDepth) {
+		t.Fatalf("at the limit = %s, want %d", got, parser.MaxDepth)
+	}
+	if _, err := Compile(nest(parser.MaxDepth), Options{}); err == nil || !strings.Contains(err.Error(), "nests deeper than") {
+		t.Fatalf("one level over: err = %v", err)
+	}
+}
+
+// TestIntegerArithmeticConformance: xs:integer literals and + - * idiv
+// mod over them follow XQuery Functions and Operators: literals are
+// exact, and a literal or result outside the 64-bit range raises
+// FOAR0002 instead of wrapping or rounding. The expected values are
+// worked out by hand.
+func TestIntegerArithmeticConformance(t *testing.T) {
+	db := mustDB(t)
+	const overflow = "FOAR0002"
+	for _, c := range []struct{ src, want string }{
+		{"9007199254740993", "9007199254740993"},
+		{"12345678901234567890", overflow},
+		{"99999999999999999999 = 99999999999999999998", overflow},
+		{"9223372036854775807 * 2", overflow},
+		{"-9223372036854775808 idiv -1", overflow},
+		{"(-9223372036854775807 - 1) idiv -1", overflow},
+		{"9223372036854775807 + 1", overflow},
+		{"-9223372036854775807 - 2", overflow},
+		{"-(-9223372036854775807 - 1)", overflow},
+		{"3037000500 * 3037000500", overflow},
+		{"-3037000500 * 3037000500", overflow},
+		{"3037000499 * 3037000499", "9223372030926249001"},
+		{"-1 * (-9223372036854775807 - 1)", overflow},
+		{"9223372036854775807", "9223372036854775807"},
+		{"-9223372036854775807 - 1", "-9223372036854775808"},
+		{"(-9223372036854775807 - 1) mod -1", "0"},
+		{"9007199254740993 - 9007199254740992", "1"},
+		{"9007199254740993 = 9007199254740992", "false"},
+		{"7 idiv -2", "-3"},
+		{"-7 mod 2", "-1"},
+	} {
+		res, err := db.Query(c.src)
+		if c.want == overflow {
+			if err == nil || !strings.Contains(err.Error(), overflow) {
+				t.Errorf("%s: got %v (err %v), want %s", c.src, res, err, overflow)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", c.src, err)
+			continue
+		}
+		if got := strings.Join(res.Strings(), " "); got != c.want {
+			t.Errorf("%s = %s, want %s", c.src, got, c.want)
+		}
 	}
 }
