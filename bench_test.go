@@ -6,6 +6,7 @@ package xqp_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -524,11 +525,10 @@ func BenchmarkE18BidWatch(b *testing.B) {
 // xmlItemsSink keeps BenchmarkXMLItems' results alive.
 var xmlItemsSink []string
 
-// BenchmarkXMLItems serializes the results of the three child-axis
-// queries of the benchmark's bulk_result workload (whole item, person
-// and open_auction subtrees of Auction(8)). Run it with -benchmem:
-// allocations per result stay constant however large the result is.
-func BenchmarkXMLItems(b *testing.B) {
+// bulkResults runs the three child-axis queries of the benchmark's
+// bulk_result workload (whole item, person and open_auction subtrees of
+// Auction(8)) and reports the bytes of XML they serialize to.
+func bulkResults(b *testing.B) ([]*xqp.Result, int64) {
 	db := xqp.FromStore(xmark.StoreAuction(8))
 	var results []*xqp.Result
 	var bytes int64
@@ -542,6 +542,14 @@ func BenchmarkXMLItems(b *testing.B) {
 			bytes += int64(len(it))
 		}
 	}
+	return results, bytes
+}
+
+// BenchmarkXMLItems serializes the results of bulkResults. Run it with
+// -benchmem: allocations per result stay constant however large the
+// result is.
+func BenchmarkXMLItems(b *testing.B) {
+	results, bytes := bulkResults(b)
 	b.SetBytes(bytes)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -550,6 +558,37 @@ func BenchmarkXMLItems(b *testing.B) {
 			xmlItemsSink = res.XMLItems()
 		}
 	}
+}
+
+// jsonItemsSink keeps BenchmarkJSONItems' output alive.
+var jsonItemsSink []byte
+
+// BenchmarkJSONItems writes the items arrays of bulkResults as xqd
+// sends them: fused, through Result.AppendJSONItems into one reused
+// buffer, and two-pass, as XMLItems strings escaped by encoding/json.
+func BenchmarkJSONItems(b *testing.B) {
+	results, bytes := bulkResults(b)
+	b.Run("fused", func(b *testing.B) {
+		b.SetBytes(bytes)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, res := range results {
+				jsonItemsSink = res.AppendJSONItems(jsonItemsSink[:0])
+			}
+		}
+	})
+	b.Run("two-pass", func(b *testing.B) {
+		b.SetBytes(bytes)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, res := range results {
+				var err error
+				if jsonItemsSink, err = json.Marshal(res.XMLItems()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 }
 
 // BenchmarkApply commits the bid_stream workload's batch through

@@ -30,8 +30,8 @@
 // nothing.
 //
 // Saturation maps to 503, unknown documents to 404, deadline expiry to
-// 504, compile errors to 400, request bodies over 16 MiB to 413, and
-// unexpected execution failures to 500.
+// 504, compile errors and integer overflow (FOAR0002) to 400, request
+// bodies over 16 MiB to 413, and unexpected execution failures to 500.
 //
 // On SIGINT/SIGTERM the daemon stops accepting connections, closes
 // watch streams, and drains in-flight requests for up to -drain before
@@ -370,6 +370,9 @@ type queryRequest struct {
 	Docs []string `json:"docs,omitempty"`
 }
 
+// queryResponse is the shape of a /query answer. writeQueryResponse
+// writes it without encoding/json; the type is the reference its output
+// is tested against, and what clients decode.
 type queryResponse struct {
 	Items       []string `json:"items"`
 	Count       int      `json:"count"`
@@ -451,21 +454,76 @@ func handleQuery(eng *xqp.Engine, w http.ResponseWriter, r *http.Request) {
 		httpError(w, statusFor(err), err.Error())
 		return
 	}
-	resp := queryResponse{
-		Items:      res.XMLItems(),
-		Count:      res.Len(),
-		Cached:     res.Cached,
-		Generation: res.Generation,
-		QueueNanos: res.QueueWait.Nanoseconds(),
-		ExecNanos:  res.ExecTime.Nanoseconds(),
+	writeQueryResponse(w, res, req.Trace)
+}
+
+// respBufPool recycles the buffers query responses are built in, so
+// that once a buffer has grown a response costs a constant number of
+// allocations whatever its size.
+var respBufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledRespBuf keeps the buffer of one exceptionally large response
+// from staying pooled.
+const maxPooledRespBuf = 1 << 20
+
+// writeQueryResponse writes res as a queryResponse, byte for byte what
+// json.Encoder.Encode writes for it. The body is built in one pooled
+// buffer, items serialized by Result.AppendJSONItems straight from the
+// store, and sent in one Write with its Content-Length; encoding/json
+// runs only for diagnostics and the trace, when there are any.
+func writeQueryResponse(w http.ResponseWriter, res *xqp.Result, trace bool) {
+	p := respBufPool.Get().(*[]byte)
+	buf := append((*p)[:0], `{"items":`...)
+	buf = res.AppendJSONItems(buf)
+	buf = append(buf, `,"count":`...)
+	buf = strconv.AppendInt(buf, int64(res.Len()), 10)
+	buf = append(buf, `,"cached":`...)
+	buf = strconv.AppendBool(buf, res.Cached)
+	buf = append(buf, `,"generation":`...)
+	buf = strconv.AppendUint(buf, res.Generation, 10)
+	buf = append(buf, `,"queue_ns":`...)
+	buf = strconv.AppendInt(buf, res.QueueWait.Nanoseconds(), 10)
+	buf = append(buf, `,"exec_ns":`...)
+	buf = strconv.AppendInt(buf, res.ExecTime.Nanoseconds(), 10)
+	var err error
+	if len(res.Diagnostics) > 0 {
+		diags := make([]string, len(res.Diagnostics))
+		for i, d := range res.Diagnostics {
+			diags[i] = d.String()
+		}
+		buf, err = appendJSONField(buf, "diagnostics", diags)
 	}
-	for _, d := range res.Diagnostics {
-		resp.Diagnostics = append(resp.Diagnostics, d.String())
+	if trace && res.Trace != nil && err == nil {
+		buf, err = appendJSONField(buf, "trace", res.Trace)
 	}
-	if req.Trace {
-		resp.Trace = res.Trace
+	buf = append(buf, "}\n"...)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "encoding response: "+err.Error())
+	} else {
+		h := w.Header()
+		h.Set("Content-Type", "application/json")
+		h.Set("Content-Length", strconv.Itoa(len(buf)))
+		w.WriteHeader(http.StatusOK)
+		if _, err := w.Write(buf); err != nil {
+			log.Printf("xqd: writing response: %v", err)
+		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	if cap(buf) <= maxPooledRespBuf {
+		*p = buf
+		respBufPool.Put(p)
+	}
+}
+
+// appendJSONField appends ,"name": and the encoding/json encoding of v.
+func appendJSONField(buf []byte, name string, v any) ([]byte, error) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return buf, err
+	}
+	buf = append(buf, ',', '"')
+	buf = append(buf, name...)
+	buf = append(buf, '"', ':')
+	return append(buf, b...), nil
 }
 
 // boolParam interprets a query-string flag: "1", "true", "yes" (any
@@ -586,7 +644,7 @@ func statusFor(err error) int {
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
 		return 499 // client closed request (nginx convention)
-	case errors.Is(err, xqp.ErrInvalidQuery):
+	case errors.Is(err, xqp.ErrInvalidQuery), errors.Is(err, xqp.ErrOverflow):
 		return http.StatusBadRequest
 	default:
 		// Not a recognizable client mistake: an unexpected execution

@@ -181,6 +181,7 @@ func TestStatusFor(t *testing.T) {
 		{context.DeadlineExceeded, http.StatusGatewayTimeout},
 		{context.Canceled, 499},
 		{fmt.Errorf("%w: unexpected token", xqp.ErrInvalidQuery), http.StatusBadRequest},
+		{fmt.Errorf("%w: 9223372036854775807 * 2", xqp.ErrOverflow), http.StatusBadRequest},
 		{errors.New("operator blew up"), http.StatusInternalServerError},
 	}
 	for _, c := range cases {

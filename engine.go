@@ -8,6 +8,7 @@ import (
 
 	"xqp/internal/engine"
 	"xqp/internal/storage"
+	"xqp/internal/value"
 )
 
 // Engine is the concurrent multi-document query service: a document
@@ -51,6 +52,10 @@ var (
 	// ErrTenantQuota reports that one tenant's in-flight queries reached
 	// EngineConfig.TenantQuota; other tenants keep being admitted.
 	ErrTenantQuota = engine.ErrTenantQuota
+	// ErrOverflow is XQuery's FOAR0002: an integer literal, an integer
+	// operation or an integer sum falls outside the 64-bit range (a
+	// property of the query and its data, not an engine fault).
+	ErrOverflow = value.ErrOverflow
 )
 
 // NewEngine creates a concurrent query service.

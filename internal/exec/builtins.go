@@ -553,6 +553,9 @@ func aggregate(name string, seq value.Sequence) (value.Sequence, error) {
 		}
 		return value.Singleton(value.Str(best)), nil
 	}
+	if allInt {
+		return aggregateInts(name, items)
+	}
 	var sum, minV, maxV float64
 	minV, maxV = math.Inf(1), math.Inf(-1)
 	for _, it := range items {
@@ -565,20 +568,40 @@ func aggregate(name string, seq value.Sequence) (value.Sequence, error) {
 			maxV = f
 		}
 	}
-	result := func(f float64) value.Sequence {
-		if allInt && f == math.Trunc(f) {
-			return value.Singleton(value.Int(int64(f)))
-		}
-		return value.Singleton(value.Dbl(f))
-	}
 	switch name {
 	case "sum":
-		return result(sum), nil
+		return value.Singleton(value.Dbl(sum)), nil
 	case "avg":
 		return value.Singleton(value.Dbl(sum / float64(len(items)))), nil
 	case "min":
-		return result(minV), nil
+		return value.Singleton(value.Dbl(minV)), nil
 	default:
-		return result(maxV), nil
+		return value.Singleton(value.Dbl(maxV)), nil
 	}
+}
+
+// aggregateInts folds a non-empty sequence of integers exactly: the sum
+// is accumulated in int64 and raises FOAR0002 on overflow, as integer +
+// does, min and max compare as int64, and avg divides the exact sum.
+func aggregateInts(name string, items value.Sequence) (value.Sequence, error) {
+	acc := items[0].(value.Int)
+	for _, it := range items[1:] {
+		x := it.(value.Int)
+		switch name {
+		case "min":
+			acc = min(acc, x)
+		case "max":
+			acc = max(acc, x)
+		default:
+			s := acc + x
+			if (acc^s)&(x^s) < 0 {
+				return nil, fmt.Errorf("%w: %s overflows", value.ErrOverflow, name)
+			}
+			acc = s
+		}
+	}
+	if name == "avg" {
+		return value.Singleton(value.Dbl(float64(acc) / float64(len(items)))), nil
+	}
+	return value.Singleton(value.Int(acc)), nil
 }

@@ -31,6 +31,22 @@ import (
 // With an Accountant installed, every parenthesis and content item read
 // is charged, as the navigation accessors charge theirs.
 func (s *Store) AppendXML(dst []byte, n NodeRef) []byte {
+	return s.appendSubtree(dst, n, &xmlSyntax)
+}
+
+// AppendXMLJSON appends what encoding/json writes for the string
+// AppendXML(nil, n), without the enclosing quotes: the XML serialization
+// escaped as the body of a JSON string, HTML escaping on. It makes the
+// same single scan as AppendXML and writes each byte once: tokens are
+// appended already escaped, and text and attribute values are escaped
+// for XML and JSON in one pass.
+func (s *Store) AppendXMLJSON(dst []byte, n NodeRef) []byte {
+	return s.appendSubtree(dst, n, &jsonSyntax)
+}
+
+// appendSubtree is the scan behind AppendXML and AppendXMLJSON; sx
+// supplies the tokens and escapers it writes with.
+func (s *Store) appendSubtree(dst []byte, n NodeRef, sx *syntax) []byte {
 	words := s.Seq.Words()
 	var stackBuf [32]NodeRef
 	stack := stackBuf[:0] // open elements and the document root
@@ -42,18 +58,18 @@ func (s *Store) AppendXML(dst []byte, n NodeRef) []byte {
 		if words[p>>6]>>(uint(p)&63)&1 == 0 {
 			// A closing parenthesis ends the innermost open node.
 			if pend != "" {
-				dst = appendEscaped(dst, pend, false)
+				dst = sx.text.append(dst, pend)
 				pend = ""
 			}
 			top := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			if s.kinds[top] == xmldoc.KindElement {
 				if tagOpen {
-					dst = append(dst, "/>"...)
+					dst = appendToken(dst, sx.emptyEnd)
 				} else {
-					dst = append(dst, "</"...)
-					dst = append(dst, s.Vocab.Name(s.tags[top])...)
-					dst = append(dst, '>')
+					dst = appendToken(dst, sx.endOpen)
+					dst = sx.raw.appendName(dst, s.Vocab.Name(s.tags[top]))
+					dst = appendToken(dst, sx.gt)
 				}
 				tagOpen = false
 			}
@@ -69,11 +85,11 @@ func (s *Store) AppendXML(dst []byte, n NodeRef) []byte {
 			// the DOM sense and ends its parent's start tag; everything
 			// but text ends a run of text siblings.
 			if tagOpen && kind != xmldoc.KindAttribute && (kind != xmldoc.KindText || val != "") {
-				dst = append(dst, '>')
+				dst = appendToken(dst, sx.gt)
 				tagOpen = false
 			}
 			if kind != xmldoc.KindText && pend != "" {
-				dst = appendEscaped(dst, pend, false)
+				dst = sx.text.append(dst, pend)
 				pend = ""
 			}
 			p++
@@ -81,8 +97,8 @@ func (s *Store) AppendXML(dst []byte, n NodeRef) []byte {
 			case xmldoc.KindDocument:
 				stack = append(stack, r)
 			case xmldoc.KindElement:
-				dst = append(dst, '<')
-				dst = append(dst, s.Vocab.Name(s.tags[r])...)
+				dst = appendToken(dst, sx.lt)
+				dst = sx.raw.appendName(dst, s.Vocab.Name(s.tags[r]))
 				tagOpen = true
 				stack = append(stack, r)
 			case xmldoc.KindText:
@@ -99,20 +115,20 @@ func (s *Store) AppendXML(dst []byte, n NodeRef) []byte {
 				if inElement {
 					dst = append(dst, ' ')
 				}
-				dst = append(dst, s.Vocab.Name(s.tags[r])[1:]...)
-				dst = append(dst, `="`...)
-				dst = appendEscaped(dst, val, true)
-				dst = append(dst, '"')
+				dst = sx.raw.appendName(dst, s.Vocab.Name(s.tags[r])[1:])
+				dst = appendToken(dst, sx.attrOpen)
+				dst = sx.attr.append(dst, val)
+				dst = appendToken(dst, sx.quote)
 			case xmldoc.KindComment:
-				dst = append(dst, "<!--"...)
-				dst = append(dst, val...)
-				dst = append(dst, "-->"...)
+				dst = appendToken(dst, sx.commentOpen)
+				dst = sx.raw.append(dst, val)
+				dst = appendToken(dst, sx.commentEnd)
 			case xmldoc.KindPI:
-				dst = append(dst, "<?"...)
-				dst = append(dst, s.Vocab.Name(s.tags[r])[1:]...)
+				dst = appendToken(dst, sx.piOpen)
+				dst = sx.raw.appendName(dst, s.Vocab.Name(s.tags[r])[1:])
 				dst = append(dst, ' ')
-				dst = append(dst, val...)
-				dst = append(dst, "?>"...)
+				dst = sx.raw.append(dst, val)
+				dst = appendToken(dst, sx.piEnd)
 			}
 			if kind != xmldoc.KindDocument && kind != xmldoc.KindElement {
 				p++ // a leaf's closing parenthesis follows its opening one
@@ -124,51 +140,96 @@ func (s *Store) AppendXML(dst []byte, n NodeRef) []byte {
 		}
 	}
 	if pend != "" {
-		dst = appendEscaped(dst, pend, false)
+		dst = sx.text.append(dst, pend)
 	}
 	return dst
 }
 
-// plainByte marks the ASCII bytes that serialize as themselves in both
-// text and attribute values.
-var plainByte = func() (t [256]bool) {
-	for c := 0; c < utf8.RuneSelf; c++ {
-		t[c] = true
-	}
-	for _, c := range `<>&"` {
-		t[c] = false
-	}
-	return t
-}()
+// syntax is what appendSubtree writes with: its literal tokens, the
+// escaper of text and the one of attribute values, and raw, the escaper
+// of what XML prints unescaped (names, comment and PI content).
+type syntax struct {
+	lt, gt, endOpen, emptyEnd string // "<", ">", "</", "/>"
+	attrOpen, quote           string // `="`, `"`
+	commentOpen, commentEnd   string // "<!--", "-->"
+	piOpen, piEnd             string // "<?", "?>"
+	text, attr, raw           *escaper
+}
 
-// appendEscaped appends s with &, < and > (and " when attr) replaced by
-// entity references. Like xmldoc's serializer it decodes rune by rune,
-// so each invalid UTF-8 byte comes out as U+FFFD; runs of bytes that
-// need no change are copied in one append.
-func appendEscaped(dst []byte, s string, attr bool) []byte {
+// appendToken appends one of a syntax's tokens. A one-byte token is
+// appended as a byte, which spares XML's most frequent tokens a copy
+// call.
+func appendToken(dst []byte, tok string) []byte {
+	if len(tok) == 1 {
+		return append(dst, tok[0])
+	}
+	return append(dst, tok...)
+}
+
+// escaper rewrites a string byte by byte through a table. Plain ASCII
+// bytes are copied in runs; any other byte starts a UTF-8 sequence that
+// is decoded, so an invalid byte can be replaced. A nil escaper copies
+// its input unchanged.
+type escaper struct {
+	plain   [256]bool             // the bytes copied as they are
+	ascii   [utf8.RuneSelf]string // the replacement of every other ASCII byte
+	invalid string                // the replacement of a byte that is not valid UTF-8
+	lineSep bool                  // U+2028 and U+2029 become \u2028 and \u2029, as in encoding/json
+}
+
+// newEscaper builds an escaper from its ASCII replacements.
+func newEscaper(ascii map[byte]string, invalid string, lineSep bool) *escaper {
+	e := &escaper{invalid: invalid, lineSep: lineSep}
+	for c := 0; c < utf8.RuneSelf; c++ {
+		e.ascii[c] = ascii[byte(c)]
+		e.plain[c] = e.ascii[c] == ""
+	}
+	return e
+}
+
+// then composes e with a second escaper j: its output is j applied to
+// e's output. That holds because e leaves every valid multi-byte
+// character as it is, so only ASCII bytes and invalid bytes change.
+func (e *escaper) then(j *escaper) *escaper {
+	c := &escaper{invalid: string(j.append(nil, e.invalid)), lineSep: e.lineSep || j.lineSep}
+	for b := 0; b < utf8.RuneSelf; b++ {
+		out := e.ascii[b]
+		if out == "" {
+			out = string(rune(b))
+		}
+		if out = string(j.append(nil, out)); out != string(rune(b)) {
+			c.ascii[b] = out
+		}
+		c.plain[b] = c.ascii[b] == ""
+	}
+	return c
+}
+
+// append appends s to dst through the escaper.
+func (e *escaper) append(dst []byte, s string) []byte {
+	if e == nil {
+		return append(dst, s...)
+	}
 	start := 0
 	for i := 0; i < len(s); {
-		if plainByte[s[i]] {
+		c := s[i]
+		if e.plain[c] {
 			i++
 			continue
 		}
 		esc, size := "", 1
-		switch s[i] {
-		case '<':
-			esc = "&lt;"
-		case '>':
-			esc = "&gt;"
-		case '&':
-			esc = "&amp;"
-		case '"':
-			if attr {
-				esc = "&quot;"
-			}
-		default: // the first byte of a multi-byte sequence
+		if c < utf8.RuneSelf {
+			esc = e.ascii[c]
+		} else {
 			var r rune
 			r, size = utf8.DecodeRuneInString(s[i:])
-			if r == utf8.RuneError && size == 1 {
-				esc = string(utf8.RuneError)
+			switch {
+			case r == utf8.RuneError && size == 1:
+				esc = e.invalid
+			case e.lineSep && r == '\u2028':
+				esc = `\u2028`
+			case e.lineSep && r == '\u2029':
+				esc = `\u2029`
 			}
 		}
 		if esc != "" {
@@ -179,4 +240,77 @@ func appendEscaped(dst []byte, s string, attr bool) []byte {
 		i += size
 	}
 	return append(dst, s[start:]...)
+}
+
+// appendName appends a tag, attribute or PI name. Names are plain in
+// practice, so a byte check decides, and the general escaper runs only
+// when the check fails.
+func (e *escaper) appendName(dst []byte, name string) []byte {
+	if e == nil {
+		return append(dst, name...)
+	}
+	return e.appendCheckedName(dst, name)
+}
+
+// appendCheckedName is appendName's byte check, out of line so that
+// appendName inlines and the XML serializer appends names directly.
+func (e *escaper) appendCheckedName(dst []byte, name string) []byte {
+	for i := 0; i < len(name); i++ {
+		if !e.plain[name[i]] {
+			return e.append(dst, name)
+		}
+	}
+	return append(dst, name...)
+}
+
+var (
+	// xmlText and xmlAttr escape text and attribute values as xmldoc's
+	// serializer does: entity references for &, < and > (and " in an
+	// attribute), and U+FFFD for each invalid UTF-8 byte.
+	xmlText = newEscaper(map[byte]string{'&': "&amp;", '<': "&lt;", '>': "&gt;"}, string(utf8.RuneError), false)
+	xmlAttr = newEscaper(map[byte]string{'&': "&amp;", '<': "&lt;", '>': "&gt;", '"': "&quot;"}, string(utf8.RuneError), false)
+
+	// jsonString escapes as encoding/json escapes a string with HTML
+	// escaping on: \" and \\, short escapes for \b \f \n \r \t,
+	// \u00XX for the other control bytes and for <, > and &, \ufffd
+	// for an invalid byte, and \u2028 and \u2029.
+	jsonString = func() *escaper {
+		m := map[byte]string{'"': `\"`, '\\': `\\`, '\b': `\b`, '\f': `\f`, '\n': `\n`, '\r': `\r`, '\t': `\t`}
+		const hex = "0123456789abcdef"
+		for _, c := range []byte{'<', '>', '&'} {
+			m[c] = `\u00` + string(hex[c>>4]) + string(hex[c&15])
+		}
+		for c := byte(0); c < 0x20; c++ {
+			if m[c] == "" {
+				m[c] = `\u00` + string(hex[c>>4]) + string(hex[c&15])
+			}
+		}
+		return newEscaper(m, `\ufffd`, true)
+	}()
+
+	xmlSyntax = syntax{
+		lt: "<", gt: ">", endOpen: "</", emptyEnd: "/>",
+		attrOpen: `="`, quote: `"`,
+		commentOpen: "<!--", commentEnd: "-->",
+		piOpen: "<?", piEnd: "?>",
+		text: xmlText, attr: xmlAttr,
+	}
+	jsonSyntax = func() syntax {
+		j := func(tok string) string { return string(jsonString.append(nil, tok)) }
+		x := xmlSyntax
+		return syntax{
+			lt: j(x.lt), gt: j(x.gt), endOpen: j(x.endOpen), emptyEnd: j(x.emptyEnd),
+			attrOpen: j(x.attrOpen), quote: j(x.quote),
+			commentOpen: j(x.commentOpen), commentEnd: j(x.commentEnd),
+			piOpen: j(x.piOpen), piEnd: j(x.piEnd),
+			text: x.text.then(jsonString), attr: x.attr.then(jsonString), raw: jsonString,
+		}
+	}()
+)
+
+// AppendJSONEscaped appends s escaped as the body of a JSON string,
+// exactly as encoding/json escapes it (HTML escaping on), without the
+// enclosing quotes.
+func AppendJSONEscaped(dst []byte, s string) []byte {
+	return jsonString.append(dst, s)
 }

@@ -1,6 +1,7 @@
 package storage_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -18,7 +19,8 @@ func domXML(st *storage.Store, n storage.NodeRef) string {
 }
 
 // checkEveryNode compares AppendXML with the reference on every node,
-// appending to a non-empty buffer to check that AppendXML only appends.
+// and AppendXMLJSON with encoding/json's escaping of that XML, appending
+// to a non-empty buffer to check that both only append.
 func checkEveryNode(t *testing.T, label string, st *storage.Store) {
 	t.Helper()
 	const prefix = "prefix"
@@ -27,6 +29,14 @@ func checkEveryNode(t *testing.T, label string, st *storage.Store) {
 		want := prefix + domXML(st, n)
 		if got != want {
 			t.Fatalf("%s: node %d (%v): AppendXML = %q, DOM path = %q", label, n, st.Kind(n), got[len(prefix):], want[len(prefix):])
+		}
+		quoted, err := json.Marshal(want[len(prefix):])
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantJSON := prefix + string(quoted[1:len(quoted)-1])
+		if got := string(st.AppendXMLJSON([]byte(prefix), n)); got != wantJSON {
+			t.Fatalf("%s: node %d (%v): AppendXMLJSON = %q, encoding/json = %q", label, n, st.Kind(n), got[len(prefix):], wantJSON[len(prefix):])
 		}
 	}
 }
@@ -101,6 +111,18 @@ func TestAppendXMLHandCases(t *testing.T) {
 			b.Text(`"q" > p`)
 			b.EndElement()
 		}, `<a>"q" &gt; p</a>`},
+		{"content JSON escapes", func(b *storage.Builder) {
+			b.StartElement("a")
+			b.Attr("x", "\\\u2028\t\x01\x7f\xfe")
+			b.Text("\"\\\b\f\n\r\t\x00\x1f\u2028\u2029\xff&é")
+			b.Comment("\"\\<\u2029\x02\xc3(&>")
+			b.PI("p", "\\\xe2\x80\"")
+			b.StartElement("b\u2028")
+			b.Attr("y\\", "\xed\xa0\x80")
+			b.EndElement()
+			b.EndElement()
+		}, "<a x=\"\\\u2028\t\x01\x7f\uFFFD\">\"\\\b\f\n\r\t\x00\x1f\u2028\u2029\uFFFD&amp;é" +
+			"<!--\"\\<\u2029\x02\xc3(&>--><?p \\\xe2\x80\"?><b\u2028 y\\=\"\uFFFD\uFFFD\uFFFD\"/></a>"},
 	}
 	for _, c := range cases {
 		b := storage.NewBuilder(nil)
@@ -163,12 +185,13 @@ func TestAppendXMLChargesAccountant(t *testing.T) {
 }
 
 // FuzzAppendXML loads arbitrary documents and compares AppendXML with
-// the DOM path on every node.
+// the DOM path, and AppendXMLJSON with encoding/json, on every node.
 func FuzzAppendXML(f *testing.F) {
 	f.Add(`<a/>`)
 	f.Add(`<a x="1&amp;&quot;">t<b>u</b>v<!--c--><?p q?></a>`)
 	f.Add(`<a>&lt;&#xe9;<![CDATA[x<y]]>z</a>`)
 	f.Add(`<a><b/>  <c>  t  </c></a>`)
+	f.Add("<a x='\\&#x2028;\"'>\"\\&#x2029;&#9;\u00e9<!--\"\\--><?p \\?></a>")
 	f.Fuzz(func(t *testing.T, doc string) {
 		if len(doc) > 4096 {
 			return

@@ -23,7 +23,9 @@
 // Results leave the store through AppendXML (and XMLString, its string
 // form): one forward scan over the subtree's parenthesis interval that
 // reads tags, kinds and content by pre-order number and writes XML
-// directly, with no DOM copy and no per-node FindClose or rank. ToDoc and
+// directly, with no DOM copy and no per-node FindClose or rank.
+// AppendXMLJSON is the same scan writing that XML already escaped as the
+// body of a JSON string, for servers that answer in JSON. ToDoc and
 // SubtreeDoc, which rebuild an xmldoc tree, are kept as the reference the
 // serializer is tested against and as the input of indented printing.
 //

@@ -622,6 +622,27 @@ func (r *Result) XMLItems() []string {
 	return out
 }
 
+// AppendJSONItems appends the JSON array of the result's items: the
+// bytes encoding/json writes for XMLItems(), HTML escaping on. Each node
+// item is serialized by Store.AppendXMLJSON straight into dst, so no
+// per-item string and no slice of items is built.
+func (r *Result) AppendJSONItems(dst []byte) []byte {
+	dst = append(dst, '[')
+	for i, it := range r.Seq {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, '"')
+		if n, ok := it.(value.Node); ok {
+			dst = n.Store.AppendXMLJSON(dst, n.Ref)
+		} else {
+			dst = storage.AppendJSONEscaped(dst, it.String())
+		}
+		dst = append(dst, '"')
+	}
+	return append(dst, ']')
+}
+
 // PrettyXML serializes node items with two-space indentation (atomic
 // items print on their own lines).
 func (r *Result) PrettyXML() string {

@@ -731,11 +731,11 @@ func TestNestingDepthLimit(t *testing.T) {
 	}
 }
 
-// TestIntegerArithmeticConformance: xs:integer literals and + - * idiv
-// mod over them follow XQuery Functions and Operators: literals are
-// exact, and a literal or result outside the 64-bit range raises
-// FOAR0002 instead of wrapping or rounding. The expected values are
-// worked out by hand.
+// TestIntegerArithmeticConformance: xs:integer literals, + - * idiv
+// mod over them and sum avg min max over integer sequences follow XQuery
+// Functions and Operators: literals are exact, and a literal or result
+// outside the 64-bit range raises FOAR0002 instead of wrapping or
+// rounding. The expected values are worked out by hand.
 func TestIntegerArithmeticConformance(t *testing.T) {
 	db := mustDB(t)
 	const overflow = "FOAR0002"
@@ -760,6 +760,15 @@ func TestIntegerArithmeticConformance(t *testing.T) {
 		{"9007199254740993 = 9007199254740992", "false"},
 		{"7 idiv -2", "-3"},
 		{"-7 mod 2", "-1"},
+		{"sum((9223372036854775807, 1))", overflow},
+		{"sum((-9223372036854775807, -1, -1))", overflow},
+		{"avg((9223372036854775807, 1))", overflow},
+		{"sum((9223372036854775807, -1, 1))", "9223372036854775807"},
+		{"sum((9007199254740993, 0))", "9007199254740993"},
+		{"max((9007199254740993, 9007199254740992))", "9007199254740993"},
+		{"min((9007199254740995, 9007199254740993))", "9007199254740993"},
+		{"avg((9007199254740993, -9007199254740992))", "0.5"},
+		{"sum(())", "0"},
 	} {
 		res, err := db.Query(c.src)
 		if c.want == overflow {
