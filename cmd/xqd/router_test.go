@@ -11,6 +11,7 @@ import (
 	"net/url"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -52,6 +53,54 @@ func newRouterFixture(t *testing.T, docs map[string]string) (*httptest.Server, *
 		}
 	}
 	return routerSrv, single
+}
+
+// TestRouterBadCallIs400: an unknown function and a wrong arity are
+// compile errors. The shard answers 400, and the router returns that
+// answer from the first replica instead of trying the next one as it
+// would for a dead shard.
+func TestRouterBadCallIs400(t *testing.T) {
+	rt := cluster.New(cluster.Config{Replicas: 2})
+	var queries atomic.Int64
+	for i := 1; i <= 2; i++ {
+		h := newServer(xqp.NewEngine(xqp.EngineConfig{}))
+		shardSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/query" {
+				queries.Add(1)
+			}
+			h.ServeHTTP(w, r)
+		}))
+		t.Cleanup(shardSrv.Close)
+		if err := rt.AddShard(cluster.NewHTTPShard(fmt.Sprintf("s%d", i), shardSrv.URL, shardSrv.Client())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	routerSrv := httptest.NewServer(newRouterServer(rt))
+	t.Cleanup(routerSrv.Close)
+	req, _ := http.NewRequest(http.MethodPut, routerSrv.URL+"/docs/bib", strings.NewReader(routerDocs()["d0.xml"]))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("router PUT: %d", resp.StatusCode)
+	}
+	for _, src := range []string{`//book[foo()]`, `count(1, 2)`} {
+		queries.Store(0)
+		resp, err := http.Get(routerSrv.URL + "/query?doc=bib&q=" + url.QueryEscape(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "XPST0017") {
+			t.Errorf("%s: %d %s, want 400 XPST0017", src, resp.StatusCode, body)
+		}
+		if n := queries.Load(); n != 1 {
+			t.Errorf("%s: %d shard queries, want 1 (no replica retry)", src, n)
+		}
+	}
 }
 
 func routerDocs() map[string]string {

@@ -3,9 +3,12 @@ package xqp_test
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 
 	"xqp"
+	"xqp/internal/exec"
+	"xqp/internal/xmark"
 )
 
 func TestEngineFacade(t *testing.T) {
@@ -98,5 +101,40 @@ func TestEngineCalibrationRoundTrip(t *testing.T) {
 	}
 	if got := off.Stats().CalibrationObservations; got != 0 {
 		t.Fatalf("disabled engine observed %d records", got)
+	}
+}
+
+// TestAutoChooserResolvesParallelism: under auto the cost model prices
+// the worker budget the executor runs, so -1 ("one per CPU") decides as
+// runtime.NumCPU() does, and a budget above the cap as the cap does,
+// through both the Database and the Engine facade.
+func TestAutoChooserResolvesParallelism(t *testing.T) {
+	const src = `//*[*]`
+	st := xmark.StoreAuction(64)
+	db := xqp.FromStore(st)
+	eng := xqp.NewEngine(xqp.EngineConfig{})
+	eng.RegisterStore("auction", st)
+	verdicts := func(p int) (dbTau, engTau int64) {
+		t.Helper()
+		res, err := db.QueryWith(src, xqp.Options{Parallelism: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eres, err := eng.QueryWith(context.Background(), "auction", src, xqp.EngineQueryOptions{Parallelism: p, NoCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Metrics.ParallelTau, eres.Metrics.ParallelTau
+	}
+	for _, c := range []struct{ budget, same int }{
+		{-1, runtime.NumCPU()},
+		{1000, exec.MaxParallelism},
+	} {
+		gotDB, gotEng := verdicts(c.budget)
+		wantDB, wantEng := verdicts(c.same)
+		if gotDB != wantDB || gotEng != wantEng {
+			t.Errorf("Parallelism %d: parallel τ (db, engine) = (%d, %d), want (%d, %d) as for %d",
+				c.budget, gotDB, gotEng, wantDB, wantEng, c.same)
+		}
 	}
 }

@@ -9,9 +9,9 @@
 // certainly wrong: unused or shadowed variables, dead branches, and
 // comparisons decided by static types alone.
 //
-// Pruning is gated on purity (see Pure): a subplan that may call
-// error()-style builtins or unknown functions is never eliminated, so
-// observable failures survive optimization.
+// Pruning is gated on purity (see Pure): a subplan that may call an
+// impure builtin such as error() is never eliminated, so observable
+// failures survive optimization.
 package analyze
 
 import (
@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	"xqp/internal/ast"
+	"xqp/internal/builtin"
 	"xqp/internal/core"
 	"xqp/internal/pattern"
 	"xqp/internal/stats"
@@ -306,78 +307,19 @@ func (a *analyzer) visitUnion(o *core.UnionOp, sc *scope) (core.Op, Annotation) 
 
 func (a *analyzer) visitFn(o *core.FnOp, sc *scope) (core.Op, Annotation) {
 	args := make([]core.Op, len(o.Args))
-	anns := make([]Annotation, len(o.Args))
-	pure := PureBuiltin(o.Name)
-	fromDoc := len(o.Args) > 0
+	types := make([]builtin.Type, len(o.Args))
+	pure := !o.Fn.Impure
 	for i, arg := range o.Args {
-		args[i], anns[i] = a.visit(arg, sc)
-		pure = pure && anns[i].Pure
-		fromDoc = fromDoc && anns[i].FromDoc
+		var ann Annotation
+		args[i], ann = a.visit(arg, sc)
+		pure = pure && ann.Pure
+		types[i] = builtin.Type{Kind: ann.Kind, Card: ann.Card, FromDoc: ann.FromDoc}
 	}
-	n := &core.FnOp{Name: o.Name, Args: args}
-	ann := Annotation{Kind: KindAny, Card: CardMany, Pure: pure}
-	argCard := CardMany
-	if len(anns) > 0 {
-		argCard = anns[0].Card
+	var t builtin.Type // a builtin without a rule: any kind, any cardinality
+	if o.Fn.Result != nil {
+		t = o.Fn.Result(types)
 	}
-	switch o.Name {
-	case "true", "false", "not", "boolean", "empty", "exists",
-		"contains", "starts-with", "ends-with", "matches", "deep-equal":
-		ann.Kind, ann.Card = KindBool, CardOne
-	case "count", "sum", "position", "last", "string-length", "number":
-		ann.Kind, ann.Card = KindNumber, CardOne
-	case "avg":
-		ann.Kind, ann.Card = KindNumber, CardZeroOrOne
-		if argCard == CardEmpty {
-			ann.Card = CardEmpty
-		}
-	case "min", "max":
-		ann.Card = CardZeroOrOne // kind stays Any: strings fall back to string ordering
-		if argCard == CardEmpty {
-			ann.Card = CardEmpty
-		}
-	case "floor", "ceiling", "round", "abs":
-		ann.Kind = KindNumber
-		switch argCard {
-		case CardEmpty:
-			ann.Card = CardEmpty
-		case CardOne:
-			ann.Card = CardOne
-		default:
-			ann.Card = CardZeroOrOne
-		}
-	case "string", "concat", "string-join", "substring", "substring-before",
-		"substring-after", "normalize-space", "upper-case", "lower-case",
-		"replace", "name", "local-name":
-		ann.Kind, ann.Card = KindString, CardOne
-	case "root":
-		ann.Kind, ann.Card = KindNode, CardOne
-		ann.FromDoc = fromDoc
-	case "data":
-		ann.Card = argCard
-	case "reverse":
-		if len(anns) > 0 {
-			ann = anns[0]
-			ann.Pure = pure
-		}
-	case "zero-or-one":
-		ann.Card = CardZeroOrOne
-		if len(anns) > 0 {
-			ann.Kind, ann.FromDoc = anns[0].Kind, anns[0].FromDoc
-			if anns[0].Card == CardEmpty || anns[0].Card == CardOne {
-				ann.Card = anns[0].Card
-			}
-		}
-	case "exactly-one":
-		ann.Card = CardOne
-		if len(anns) > 0 {
-			ann.Kind, ann.FromDoc = anns[0].Kind, anns[0].FromDoc
-		}
-	case "subsequence", "distinct-values", "tokenize", "index-of",
-		"insert-before", "remove":
-		ann.FromDoc = fromDoc
-	}
-	return a.finish(n, ann)
+	return a.finish(&core.FnOp{Fn: o.Fn, Args: args}, Annotation{Kind: t.Kind, Card: t.Card, Pure: pure, FromDoc: t.FromDoc})
 }
 
 func (a *analyzer) visitQuant(o *core.QuantOp, sc *scope) (core.Op, Annotation) {

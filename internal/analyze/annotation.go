@@ -1,44 +1,30 @@
 package analyze
 
-import "fmt"
+import (
+	"fmt"
 
-// Card is the static cardinality of an operator's result sequence.
-type Card uint8
-
-const (
-	// CardMany is the unknown cardinality: zero or more items.
-	CardMany Card = iota
-	// CardOne is exactly one item.
-	CardOne
-	// CardZeroOrOne is at most one item.
-	CardZeroOrOne
-	// CardEmpty is the provably empty sequence.
-	CardEmpty
+	"xqp/internal/builtin"
 )
 
-func (c Card) String() string {
-	return [...]string{"many", "one", "zero-or-one", "empty"}[c]
-}
-
-// Kind is the static type of an operator's items.
-type Kind uint8
-
-const (
-	// KindAny is the unknown item type.
-	KindAny Kind = iota
-	// KindNode marks node sequences (path, pattern and constructor results).
-	KindNode
-	// KindBool marks boolean results (comparisons, logic, quantifiers).
-	KindBool
-	// KindNumber marks numeric results (arithmetic, count(), position()).
-	KindNumber
-	// KindString marks string results (literals, string builtins).
-	KindString
+// Card and Kind are the static cardinality and item type the analyzer
+// infers per operator; the builtin table states call results in them.
+type (
+	Card = builtin.Card
+	Kind = builtin.Kind
 )
 
-func (k Kind) String() string {
-	return [...]string{"any", "node", "boolean", "number", "string"}[k]
-}
+// The cardinalities and kinds.
+const (
+	CardMany      = builtin.CardMany
+	CardOne       = builtin.CardOne
+	CardZeroOrOne = builtin.CardZeroOrOne
+	CardEmpty     = builtin.CardEmpty
+	KindAny       = builtin.KindAny
+	KindNode      = builtin.KindNode
+	KindBool      = builtin.KindBool
+	KindNumber    = builtin.KindNumber
+	KindString    = builtin.KindString
+)
 
 // Annotation is the static information the analyzer infers per operator.
 type Annotation struct {
@@ -47,9 +33,8 @@ type Annotation struct {
 	// Card is the inferred cardinality of the result.
 	Card Card
 	// Pure reports that evaluating the operator has no observable effect
-	// besides its value: no error()-style builtins and no unknown
-	// functions anywhere in the subtree. Only pure subplans may be pruned
-	// or eliminated.
+	// besides its value: no impure builtin such as error() anywhere in
+	// the subtree. Only pure subplans may be pruned or eliminated.
 	Pure bool
 	// FromDoc reports that every node in the result provably belongs to
 	// the bound default document, so synopsis facts apply to it.

@@ -2,51 +2,21 @@ package analyze
 
 import (
 	"xqp/internal/ast"
+	"xqp/internal/builtin"
 	"xqp/internal/core"
 )
 
-// pureBuiltins lists the built-in functions of package exec whose
-// evaluation has no observable effect besides the returned value (they may
-// still raise type errors on malformed arguments, which XQuery permits an
-// optimizer to elide). error() is deliberately absent: it exists to raise,
-// so eliminating a call changes behaviour. The analyzer's tests cross-check
-// this table against the executor's dispatch so the two cannot drift.
-var pureBuiltins = map[string]bool{
-	"true": true, "false": true, "not": true, "boolean": true,
-	"count": true, "empty": true, "exists": true,
-	"sum": true, "avg": true, "min": true, "max": true,
-	"string": true, "number": true, "data": true,
-	"concat": true, "string-join": true,
-	"contains": true, "starts-with": true, "ends-with": true,
-	"substring": true, "substring-before": true, "substring-after": true,
-	"string-length": true, "normalize-space": true,
-	"upper-case": true, "lower-case": true,
-	"name": true, "local-name": true, "root": true,
-	"position": true, "last": true,
-	"distinct-values": true, "reverse": true, "subsequence": true,
-	"floor": true, "ceiling": true, "round": true, "abs": true,
-	"zero-or-one": true, "exactly-one": true,
-	"matches": true, "replace": true, "tokenize": true,
-	"index-of": true, "insert-before": true, "remove": true,
-	"deep-equal": true, "#text-ctor": true,
-}
-
-// PureBuiltin reports whether the named built-in function is known and
-// effect-free. Unknown names are impure: the executor raises an "unknown
-// function" error for them, which elimination would hide.
-func PureBuiltin(name string) bool { return pureBuiltins[name] }
-
 // Pure reports whether evaluating op can have no observable effect besides
-// its value: the subtree contains no error()-style builtins and no unknown
-// function names, either as plan operators or inside the predicate ASTs
-// that πs-chains carry. The rewriter's dead-let elimination and the
-// analyzer's empty-subplan pruning are gated on this.
+// its value: the subtree calls no impure builtin, either as a plan
+// operator or inside the predicate ASTs that πs-chains carry. The
+// rewriter's dead-let elimination and the analyzer's empty-subplan
+// pruning are gated on this.
 func Pure(op core.Op) bool {
 	pure := true
 	core.Walk(op, func(o core.Op) bool {
 		switch x := o.(type) {
 		case *core.FnOp:
-			if !PureBuiltin(x.Name) {
+			if x.Fn.Impure {
 				pure = false
 			}
 		case *core.PathOp:
@@ -77,9 +47,7 @@ func PureExpr(e ast.Expr) bool {
 	pure := true
 	ast.Walk(e, func(x ast.Expr) bool {
 		if f, ok := x.(*ast.FuncCall); ok {
-			// doc()/document() translate to DocOp, not FnOp; treat them
-			// like the translator does.
-			if f.Name != "doc" && f.Name != "document" && !PureBuiltin(f.Name) {
+			if fn := builtin.Lookup(f.Name); fn == nil || fn.Impure {
 				pure = false
 			}
 		}

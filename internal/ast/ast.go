@@ -347,6 +347,9 @@ func (u *Unary) String() string {
 type FuncCall struct {
 	Name string
 	Args []Expr
+	// Line and Col locate the call's name in the source, 1-based (zero
+	// for calls built outside the parser).
+	Line, Col int
 }
 
 func (*FuncCall) exprNode() {}

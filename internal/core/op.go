@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"xqp/internal/ast"
+	"xqp/internal/builtin"
 	"xqp/internal/pattern"
 	"xqp/internal/value"
 )
@@ -181,14 +182,14 @@ type IfOp struct{ Cond, Then, Else Op }
 func (o *IfOp) Children() []Op { return []Op{o.Cond, o.Then, o.Else} }
 func (o *IfOp) Label() string  { return "if" }
 
-// FnOp is a built-in function call.
+// FnOp is a call of a builtin, resolved by the translator.
 type FnOp struct {
-	Name string
+	Fn   *builtin.Func
 	Args []Op
 }
 
 func (o *FnOp) Children() []Op { return o.Args }
-func (o *FnOp) Label() string  { return "fn:" + o.Name }
+func (o *FnOp) Label() string  { return "fn:" + o.Fn.Name }
 
 // BindKind distinguishes for/let clauses.
 type BindKind uint8

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"xqp/internal/ast"
+	"xqp/internal/builtin"
 	"xqp/internal/value"
 )
 
@@ -48,7 +49,11 @@ func Translate(e ast.Expr) (Op, error) {
 	case *ast.Binary:
 		return translateBinary(x)
 	case *ast.FuncCall:
-		if (x.Name == "doc" || x.Name == "document") && len(x.Args) <= 1 {
+		fn, err := builtin.Resolve(x)
+		if err != nil {
+			return nil, err
+		}
+		if x.Name == "doc" || x.Name == "document" {
 			uri := ""
 			if len(x.Args) == 1 {
 				lit, ok := x.Args[0].(*ast.StringLit)
@@ -59,7 +64,7 @@ func Translate(e ast.Expr) (Op, error) {
 			}
 			return &DocOp{URI: uri}, nil
 		}
-		op := &FnOp{Name: x.Name}
+		op := &FnOp{Fn: fn}
 		for _, a := range x.Args {
 			c, err := Translate(a)
 			if err != nil {
@@ -214,6 +219,18 @@ func translatePath(x *ast.PathExpr) (Op, error) {
 	// Keep the step list (with its predicate ASTs) for the rewriter's
 	// pattern builder; the Base is replaced by the translated input.
 	path := &ast.PathExpr{Rooted: x.Rooted, Steps: x.Steps}
+	// The executor translates predicates only when it runs them, so
+	// their calls are resolved here: a bad call fails to compile.
+	var err error
+	ast.Walk(path, func(e ast.Expr) bool {
+		if call, ok := e.(*ast.FuncCall); ok {
+			_, err = builtin.Resolve(call)
+		}
+		return err == nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	return &PathOp{Input: input, Path: path}, nil
 }
 
@@ -243,7 +260,7 @@ func translateComputedCtor(x *ast.ComputedCtor) (Op, error) {
 		if content == nil {
 			content = &ConstOp{}
 		}
-		return &FnOp{Name: "#text-ctor", Args: []Op{content}}, nil
+		return &FnOp{Fn: builtin.TextCtor, Args: []Op{content}}, nil
 	}
 	return nil, fmt.Errorf("core: unknown computed constructor %q", x.Kind)
 }

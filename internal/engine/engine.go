@@ -340,18 +340,6 @@ func (e *Engine) lookup(name string) (*document, error) {
 	return d, nil
 }
 
-// ObserveRecord feeds one externally-produced strategy record into a
-// document's calibrator (the continuous-query layer calls it for its
-// incremental re-match dispatches, which run outside Query). A no-op
-// for unknown documents or when calibration is disabled.
-func (e *Engine) ObserveRecord(doc string, g *pattern.Graph, rec *exec.StrategyRecord) {
-	d, err := e.lookup(doc)
-	if err != nil || d.cal == nil {
-		return
-	}
-	d.cal.Observe(g, rec)
-}
-
 // Calibrator returns the named document's calibration accumulator, or
 // nil when the document is unknown or calibration is disabled.
 func (e *Engine) Calibrator(doc string) *calibrate.Calibrator {
@@ -622,11 +610,12 @@ func (e *Engine) run(ctx context.Context, doc, src string, opts QueryOptions, wa
 		if cal != nil {
 			tuner = cal
 		}
+		workers := exec.Workers(opts.Parallelism)
 		eo.Chooser = func(cs *storage.Store, g *pattern.Graph, rootAnchored bool) exec.Choice {
 			if cs != st {
 				return exec.Choice{Strategy: exec.StrategyNoK} // secondary doc() targets: no synopsis at hand
 			}
-			return model.ChoiceFor(estimate(g), g, rootAnchored, opts.Parallelism, tuner)
+			return model.ChoiceFor(estimate(g), g, rootAnchored, workers, tuner)
 		}
 	}
 	if opts.Trace || cal != nil {

@@ -3,7 +3,8 @@
 // the physical implementations of τ — the NoK navigational matcher, the
 // holistic TwigStack/PathStack joins, or naive navigation — and
 // implementing the remaining operators (Env-based FLWOR evaluation, γ
-// construction, πs step navigation, comparisons, built-in functions).
+// construction, πs step navigation, comparisons, and calls of the
+// builtin evaluators of package builtin).
 package exec
 
 import (
@@ -13,6 +14,7 @@ import (
 
 	"xqp/internal/ast"
 	"xqp/internal/batch"
+	"xqp/internal/builtin"
 	"xqp/internal/core"
 	"xqp/internal/join"
 	"xqp/internal/naive"
@@ -135,10 +137,10 @@ type Metrics struct {
 // against absurd worker pools, far above any useful fan-out.
 const MaxParallelism = 64
 
-// workers resolves Options.Parallelism to the worker bound for one τ
-// dispatch (1 means serial).
-func (e *Engine) workers() int {
-	p := e.opts.Parallelism
+// Workers resolves an Options.Parallelism value to the worker bound for
+// one τ dispatch (1 means serial). The cost model must price the same
+// bound the executor runs.
+func Workers(p int) int {
 	if p < 0 {
 		p = runtime.NumCPU()
 	}
@@ -183,14 +185,12 @@ func (e *Engine) AddDocument(uri string, st *storage.Store) {
 // Context carries the dynamic context: the context item, its position and
 // the context size (for position()/last()), and the variable scope.
 type Context struct {
-	Item   value.Item
-	Pos    int
-	Size   int
+	builtin.Focus
 	Lookup func(name string) (value.Sequence, bool)
 }
 
 // Root returns the empty top-level context.
-func Root() *Context { return &Context{Pos: 1, Size: 1} }
+func Root() *Context { return &Context{Focus: builtin.Focus{Pos: 1, Size: 1}} }
 
 // WithVars returns a context with additional variable bindings.
 func (c *Context) WithVars(vars map[string]value.Sequence) *Context {
@@ -347,7 +347,15 @@ func (e *Engine) eval(op core.Op, ctx *Context) (value.Sequence, error) {
 		}
 		return e.Eval(o.Else, ctx)
 	case *core.FnOp:
-		return e.evalFn(o, ctx)
+		args := make([]value.Sequence, len(o.Args))
+		for i, a := range o.Args {
+			v, err := e.Eval(a, ctx)
+			if err != nil {
+				return nil, err
+			}
+			args[i] = v
+		}
+		return o.Fn.Eval(args, &ctx.Focus)
 	case *core.QuantOp:
 		return e.evalQuant(o, ctx)
 	case *core.FLWOROp:
@@ -567,7 +575,7 @@ func (e *Engine) matchStore(st *storage.Store, g *pattern.Graph, contexts []stor
 	// root; they can only serve a τ whose context is exactly the root.
 	rootAnchored := len(contexts) == 1 && contexts[0] == st.Root()
 	chosen := e.opts.Strategy
-	workers := e.workers()
+	workers := Workers(e.opts.Parallelism)
 	wantParallel := workers > 1
 	wantBatched := false
 	var est *CostEstimate

@@ -278,8 +278,7 @@ func TestParallelismResolution(t *testing.T) {
 		{-1, runtime.NumCPU()},
 		{MaxParallelism + 100, MaxParallelism},
 	} {
-		e := engine(t, Options{Parallelism: tc.parallelism})
-		if got := e.workers(); got != tc.want {
+		if got := Workers(tc.parallelism); got != tc.want {
 			t.Errorf("workers(Parallelism=%d) = %d, want %d", tc.parallelism, got, tc.want)
 		}
 	}

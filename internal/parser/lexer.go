@@ -97,7 +97,13 @@ type lexer struct {
 func newLexer(src string) *lexer { return &lexer{src: src} }
 
 func (l *lexer) errAt(pos int, format string, args ...any) *SyntaxError {
-	line, col := 1, 1
+	line, col := l.lineCol(pos)
+	return &SyntaxError{Pos: pos, Line: line, Col: col, Msg: fmt.Sprintf(format, args...)}
+}
+
+// lineCol converts a byte offset into a 1-based line and column.
+func (l *lexer) lineCol(pos int) (line, col int) {
+	line, col = 1, 1
 	for i := 0; i < pos && i < len(l.src); i++ {
 		if l.src[i] == '\n' {
 			line++
@@ -106,7 +112,7 @@ func (l *lexer) errAt(pos int, format string, args ...any) *SyntaxError {
 			col++
 		}
 	}
-	return &SyntaxError{Pos: pos, Line: line, Col: col, Msg: fmt.Sprintf(format, args...)}
+	return line, col
 }
 
 // skipSpaceAndComments advances over whitespace and (: ... :) comments,

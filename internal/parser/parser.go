@@ -1209,6 +1209,7 @@ func (p *parser) parsePrimary() (ast.Expr, error) {
 				return nil, err
 			}
 			call := &ast.FuncCall{Name: strings.TrimPrefix(name, "fn:")}
+			call.Line, call.Col = p.l.lineCol(t.pos)
 			if ok, err := p.accept(tokRParen); err != nil {
 				return nil, err
 			} else if ok {

@@ -103,7 +103,7 @@ func (r *rewriter) rewrite(op core.Op) core.Op {
 		for i, a := range o.Args {
 			args[i] = r.rewrite(a)
 		}
-		return &core.FnOp{Name: o.Name, Args: args}
+		return &core.FnOp{Fn: o.Fn, Args: args}
 	case *core.QuantOp:
 		n := &core.QuantOp{Every: o.Every, Satisfies: r.rewrite(o.Satisfies)}
 		for _, b := range o.Bindings {
@@ -465,8 +465,8 @@ func (r *rewriter) pushPred(f *core.FLWOROp, p *core.PathOp, pred ast.Expr) bool
 
 // eliminateLets removes let-clauses whose variable is never used later.
 // A dead let is only dropped when its binding expression is pure: a
-// binding that may raise (error()-style builtins, unknown functions) has
-// an observable effect even when the variable itself is never read.
+// binding that may raise (an impure builtin such as error()) has an
+// observable effect even when the variable itself is never read.
 func (r *rewriter) eliminateLets(f *core.FLWOROp) {
 	used := map[string]bool{}
 	mark := func(op core.Op) {

@@ -286,7 +286,8 @@ func (db *Database) model(st *storage.Store) *cost.Model {
 // choice is the executor's cost-based chooser hook: it resolves the
 // model for the τ's store under a read lock. Stores without a model
 // (γ-constructed temporaries) run NoK. workers is the query's worker
-// budget, so the model can weigh serial against partitioned variants;
+// budget as exec.Workers resolves it, so the model weighs serial against
+// the partitioned variant the executor would run;
 // calibrated selects the store's calibrator as the model's tuner.
 func (db *Database) choice(q *Query, st *storage.Store, g *pattern.Graph, rootAnchored bool, workers int, calibrated bool) exec.Choice {
 	db.mu.RLock()
@@ -434,7 +435,7 @@ func (db *Database) Run(q *Query) (*Result, error) {
 		Parallelism: q.opts.Parallelism,
 	}
 	if eo.Strategy == Auto {
-		workers := q.opts.Parallelism
+		workers := exec.Workers(q.opts.Parallelism)
 		calibrated := q.opts.Calibrate
 		eo.Chooser = func(st *storage.Store, g *pattern.Graph, rootAnchored bool) exec.Choice {
 			return db.choice(q, st, g, rootAnchored, workers, calibrated)

@@ -786,3 +786,80 @@ func TestIntegerArithmeticConformance(t *testing.T) {
 		}
 	}
 }
+
+// TestFunctionCallConformance: a call of an unknown function, or of a
+// builtin with a number of arguments outside its XQuery 1.0 signature, is
+// the static error XPST0017 at the call's line and column, raised at
+// compile time also where the call would never run: in a dead branch, in
+// an empty loop, behind a false conjunct of a step predicate. Calls at
+// each arity bound keep their answers.
+func TestFunctionCallConformance(t *testing.T) {
+	db := mustDB(t)
+	const static = "XPST0017"
+	for _, c := range []struct{ src, want string }{
+		{`true(1)`, "XPST0017 at line 1, column 1"},
+		{`false(1, 2)`, "XPST0017 at line 1, column 1"},
+		{`string-length("a", "b")`, "XPST0017 at line 1, column 1"},
+		{`string(1, 2)`, "XPST0017 at line 1, column 1"},
+		{`position(5)`, "XPST0017 at line 1, column 1"},
+		{`name(/r, 3)`, "XPST0017 at line 1, column 1"},
+		{`count(1, 2)`, "XPST0017 at line 1, column 1"},
+		{`doc("a", "b")`, "XPST0017 at line 1, column 1"},
+		{`if (false()) then foo(1) else 1`, "XPST0017 at line 1, column 19"},
+		{`for $x in () return foo($x)`, "XPST0017 at line 1, column 21"},
+		{`//a[false() and foo()]`, "XPST0017 at line 1, column 17"},
+		{`//a[foo()]`, "XPST0017 at line 1, column 5"},
+		{"1 +\n  fn:count()", "XPST0017 at line 2, column 3"},
+		{`true()`, "true"},
+		{`false()`, "false"},
+		{`not(())`, "true"},
+		{`count((1, 2))`, "2"},
+		{`count(//title[string() = "Data on the Web"])`, "1"},
+		{`string(12)`, "12"},
+		{`(1 to 5)[number() = 3]`, "3"},
+		{`number("2.5")`, "2.5"},
+		{`count(//last[string-length() = 7])`, "4"},
+		{`string-length("abc")`, "3"},
+		{`count(//title[normalize-space() = "Data on the Web"])`, "1"},
+		{`normalize-space(" a  b ")`, "a b"},
+		{`count(//*[name() = "price"])`, "4"},
+		{`name(/bib)`, "bib"},
+		{`count(//*[local-name() = "book"])`, "4"},
+		{`local-name(/bib/book[1]/title)`, "title"},
+		{`count(//book[root()/bib])`, "4"},
+		{`name(root(/bib/book[1])/*)`, "bib"},
+		{`(1 to 5)[position() = last()]`, "5"},
+		{`concat()`, ""},
+		{`concat("x")`, "x"},
+		{`concat("a", "b", "c")`, "abc"},
+		{`substring("abcde", 2)`, "bcde"},
+		{`substring("abcde", 2, 2)`, "bc"},
+		{`subsequence((1, 2, 3), 2)`, "2 3"},
+		{`subsequence((1, 2, 3), 2, 1)`, "2"},
+		{`replace("abc", "b", "x")`, "axc"},
+		{`insert-before((1, 3), 2, 2)`, "1 2 3"},
+		{`count(doc()/bib/book)`, "4"},
+	} {
+		_, cerr := Compile(c.src, Options{})
+		res, err := db.Query(c.src)
+		if strings.HasPrefix(c.want, static) {
+			if cerr == nil || !strings.Contains(cerr.Error(), c.want) {
+				t.Errorf("Compile(%q): err %v, want %s", c.src, cerr, c.want)
+			}
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("Query(%q): got %v (err %v), want %s", c.src, res, err, c.want)
+			}
+			continue
+		}
+		if cerr != nil {
+			t.Errorf("Compile(%q): %v", c.src, cerr)
+		}
+		if err != nil {
+			t.Errorf("Query(%q): %v", c.src, err)
+			continue
+		}
+		if got := strings.Join(res.Strings(), " "); got != c.want {
+			t.Errorf("%s = %q, want %q", c.src, got, c.want)
+		}
+	}
+}
