@@ -644,7 +644,7 @@ func statusFor(err error) int {
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
 		return 499 // client closed request (nginx convention)
-	case errors.Is(err, xqp.ErrInvalidQuery), errors.Is(err, xqp.ErrOverflow):
+	case errors.Is(err, xqp.ErrInvalidQuery), errors.Is(err, xqp.ErrOverflow), errors.Is(err, xqp.ErrDynamic):
 		return http.StatusBadRequest
 	default:
 		// Not a recognizable client mistake: an unexpected execution

@@ -55,10 +55,11 @@ func newRouterFixture(t *testing.T, docs map[string]string) (*httptest.Server, *
 	return routerSrv, single
 }
 
-// TestRouterBadCallIs400: an unknown function and a wrong arity are
-// compile errors. The shard answers 400, and the router returns that
-// answer from the first replica instead of trying the next one as it
-// would for a dead shard.
+// TestRouterBadCallIs400: an unknown function, a wrong arity and an
+// untranslatable step predicate are compile errors, and a type error
+// and error() are dynamic errors. For each the shard answers 400, and
+// the router returns that answer from the first replica instead of
+// trying the next one as it would for a dead shard.
 func TestRouterBadCallIs400(t *testing.T) {
 	rt := cluster.New(cluster.Config{Replicas: 2})
 	var queries atomic.Int64
@@ -86,19 +87,25 @@ func TestRouterBadCallIs400(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("router PUT: %d", resp.StatusCode)
 	}
-	for _, src := range []string{`//book[foo()]`, `count(1, 2)`} {
+	for _, c := range []struct{ src, want string }{
+		{`//book[foo()]`, "XPST0017"},
+		{`count(1, 2)`, "XPST0017"},
+		{`for $u in ("a") return //book[doc($u)]`, "doc() requires a string literal"},
+		{`exactly-one(())`, "type error"},
+		{`error("x")`, "error raised: x"},
+	} {
 		queries.Store(0)
-		resp, err := http.Get(routerSrv.URL + "/query?doc=bib&q=" + url.QueryEscape(src))
+		resp, err := http.Get(routerSrv.URL + "/query?doc=bib&q=" + url.QueryEscape(c.src))
 		if err != nil {
 			t.Fatal(err)
 		}
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "XPST0017") {
-			t.Errorf("%s: %d %s, want 400 XPST0017", src, resp.StatusCode, body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), c.want) {
+			t.Errorf("%s: %d %s, want 400 %s", c.src, resp.StatusCode, body, c.want)
 		}
 		if n := queries.Load(); n != 1 {
-			t.Errorf("%s: %d shard queries, want 1 (no replica retry)", src, n)
+			t.Errorf("%s: %d shard queries, want 1 (no replica retry)", c.src, n)
 		}
 	}
 }

@@ -56,6 +56,10 @@ var (
 	// operation or an integer sum falls outside the 64-bit range (a
 	// property of the query and its data, not an engine fault).
 	ErrOverflow = value.ErrOverflow
+	// ErrDynamic is matched by XQuery dynamic errors raised while a query
+	// runs (a type error, a call of error()): like ErrOverflow, a
+	// property of the query and its data, not an engine fault.
+	ErrDynamic = value.ErrDynamic
 )
 
 // NewEngine creates a concurrent query service.

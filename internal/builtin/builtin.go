@@ -109,7 +109,7 @@ var table = [...]Func{
 		if len(args) == 2 && len(args[1]) > 0 {
 			msg += ": " + seqString(args[1])
 		}
-		return nil, fmt.Errorf("exec: error raised: %s", msg)
+		return nil, fmt.Errorf("%w: error raised: %s", value.ErrDynamic, msg)
 	}},
 	{Name: "count", Min: 1, Max: 1, Result: one(KindNumber), Eval: func(args []value.Sequence, _ *Focus) (value.Sequence, error) {
 		return single(value.Int(int64(len(args[0]))))

@@ -1,8 +1,10 @@
 // Package compile implements the shared compile pipeline of DESIGN.md's
 // key decision 5: parse → translate → analyze (diagnose + prune) →
-// rewrite → annotate. The public facade (package xqp) and the concurrent
-// query service (internal/engine) both go through this package, so plan
-// semantics cannot drift between the one-shot and the cached paths.
+// rewrite → annotate. The public facade (package xqp), the concurrent
+// query service (internal/engine) and continuous queries (internal/cq)
+// all reach it through engine.Prepare, which pairs each compilation with
+// pricing its τ patterns, so plan semantics and cost verdicts cannot
+// drift between the one-shot, the cached and the watched paths.
 package compile
 
 import (

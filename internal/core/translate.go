@@ -219,17 +219,15 @@ func translatePath(x *ast.PathExpr) (Op, error) {
 	// Keep the step list (with its predicate ASTs) for the rewriter's
 	// pattern builder; the Base is replaced by the translated input.
 	path := &ast.PathExpr{Rooted: x.Rooted, Steps: x.Steps}
-	// The executor translates predicates only when it runs them, so
-	// their calls are resolved here: a bad call fails to compile.
-	var err error
-	ast.Walk(path, func(e ast.Expr) bool {
-		if call, ok := e.(*ast.FuncCall); ok {
-			_, err = builtin.Resolve(call)
+	// The executor translates predicates only when it runs them, so each
+	// is translated once here and discarded: a predicate that cannot be
+	// translated fails to compile, not when (or if) it runs.
+	for _, step := range path.Steps {
+		for _, pred := range step.Preds {
+			if _, err := Translate(pred); err != nil {
+				return nil, err
+			}
 		}
-		return err == nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return &PathOp{Input: input, Path: path}, nil
 }

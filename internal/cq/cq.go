@@ -243,9 +243,9 @@ type query struct {
 	strategy exec.Strategy
 	maxFrac  float64
 	ringSize int
-	plan     core.Op  // immutable after registration
-	inc      *incPlan // immutable after registration; nil → full-only
-	incWhy   fallback // immutable after registration; why inc is nil
+	plan     *engine.Plan // immutable after registration
+	inc      *incPlan     // immutable after registration; nil → full-only
+	incWhy   fallback     // immutable after registration; why inc is nil
 
 	mu    sync.Mutex
 	items []item                     // guarded by mu
@@ -310,12 +310,12 @@ func (r *Registry) register(doc, src string) (*query, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, err := compile.Compile(src, compile.Options{}, st, syn)
+	p, err := engine.Prepare(src, compile.Options{}, st, syn)
 	if err != nil {
 		return nil, fmt.Errorf("cq: compile %q: %w", src, err)
 	}
 	crossDoc := false
-	core.Walk(c.Plan, func(o core.Op) bool {
+	core.Walk(p.Plan, func(o core.Op) bool {
 		if d, ok := o.(*core.DocOp); ok && d.URI != "" {
 			crossDoc = true
 		}
@@ -324,8 +324,8 @@ func (r *Registry) register(doc, src string) (*query, error) {
 	if crossDoc {
 		return nil, fmt.Errorf("%w: query references other documents via doc()", ErrNotWatchable)
 	}
-	inc, why := incrementalPlan(c.Plan)
-	items, err := fullEval(doc, st, c.Plan, r.cfg.Strategy, newRematcher(doc, st, syn, r.eng))
+	inc, why := incrementalPlan(p.Plan)
+	items, err := fullEval(doc, st, p, r.cfg.Strategy, newRematcher(doc, st, syn, r.eng))
 	if err != nil {
 		return nil, fmt.Errorf("cq: initial evaluation of %q: %w", src, err)
 	}
@@ -336,7 +336,7 @@ func (r *Registry) register(doc, src string) (*query, error) {
 		strategy: r.cfg.Strategy,
 		maxFrac:  r.cfg.MaxFullFraction,
 		ringSize: r.cfg.RingSize,
-		plan:     c.Plan,
+		plan:     p,
 		inc:      inc,
 		incWhy:   why,
 		items:    items,
@@ -454,11 +454,10 @@ func (q *query) processCommit(qc queuedCommit, met *cqMetrics, cfg Config, rm *r
 	close(q.wake)
 	q.wake = make(chan struct{})
 	for sub := range q.subs {
-		select {
-		case sub.ch <- d:
+		if sub.offer(d) {
 			met.deltas.Add(1)
 			met.deltaItems.Add(int64(len(d.Removed) + len(d.Added)))
-		default:
+		} else {
 			// Slow consumer: evict rather than block or buffer unboundedly.
 			sub.lagged.Store(true)
 			close(sub.ch)
@@ -495,6 +494,32 @@ type Subscription struct {
 	q      *query
 	ch     chan Delta
 	lagged atomic.Bool
+}
+
+// offerGrace bounds how long delivery waits on a full subscriber buffer
+// before evicting the subscriber.
+const offerGrace = 10 * time.Millisecond
+
+// offer hands d to the subscriber and reports false when its buffer
+// stays full for offerGrace. The wait parks the delivering worker, so a
+// subscriber that is runnable but starved of a processor (the worker
+// and a committing writer busy on two CPUs) drains instead of being
+// evicted as slow; one that does not read costs the wait once. The
+// caller holds q.mu, which the bound keeps from stalling Close.
+func (s *Subscription) offer(d Delta) bool {
+	select {
+	case s.ch <- d:
+		return true
+	default:
+	}
+	t := time.NewTimer(offerGrace)
+	defer t.Stop()
+	select {
+	case s.ch <- d:
+		return true
+	case <-t.C:
+		return false
+	}
 }
 
 // Deltas returns the subscriber's channel. The first delta is a full

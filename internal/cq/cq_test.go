@@ -7,8 +7,11 @@ import (
 	"testing"
 	"time"
 
+	"xqp/internal/cost/calibrate"
 	"xqp/internal/engine"
+	"xqp/internal/exec"
 	"xqp/internal/storage"
+	"xqp/internal/xmark"
 )
 
 const bibXML = `<bib>
@@ -250,6 +253,29 @@ func TestIneligiblePlanAlwaysFull(t *testing.T) {
 	state = d.Apply(state)
 	if len(state) != 1 || state[0] != "3" {
 		t.Fatalf("count after insert: %q", state)
+	}
+}
+
+// TestInitialEvaluationCostChosen: under auto, a watched query's full
+// evaluation runs the cost model's pick through the engine's bind path,
+// not NoK by default. On Auction(4) the model sends //person//name to
+// PathStack (the bid_stream verdict of TestDefaultVerdictsOnWorkloadQueries),
+// and the calibrator records that one dispatch, estimated.
+func TestInitialEvaluationCostChosen(t *testing.T) {
+	const src = `//person//name`
+	e := engine.New(engine.Config{})
+	e.RegisterStore("auction", xmark.StoreAuction(4))
+	r := New(e, Config{})
+	defer r.Close()
+	if _, _, err := r.Result("auction", src); err != nil {
+		t.Fatal(err)
+	}
+	var arms []calibrate.ArmState
+	for _, sh := range e.Calibrator("auction").Snapshot().Shapes {
+		arms = append(arms, sh.Arms...)
+	}
+	if len(arms) != 1 || arms[0].Strategy != exec.StrategyPathStack || arms[0].Count != 1 {
+		t.Fatalf("initial evaluation recorded %+v, want one PathStack dispatch", arms)
 	}
 }
 

@@ -20,11 +20,11 @@ func freshResult(t testing.TB, e *engine.Engine, doc, src string, strat exec.Str
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := compile.Compile(src, compile.Options{}, st, syn)
+	p, err := engine.Prepare(src, compile.Options{}, st, syn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	items, err := fullEval(doc, st, c.Plan, strat, nil)
+	items, err := fullEval(doc, st, p, strat, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -212,11 +212,13 @@ func mergeIntervals(ivs []interval) ([]interval, int) {
 // rematcher prices continuous-query re-matches with the cost model and
 // feeds their dispatch records to the engine's calibrator, so cq
 // traffic tunes the chooser exactly like ad-hoc queries do. The model
-// is built from the commit's snapshot synopsis; cal is the watched
+// is built from the commit's snapshot (st, syn), the store every
+// evaluation of the commit binds its cost hooks to; cal is the watched
 // document's calibrator (nil when the engine runs with calibration
 // disabled — dispatches then still run, just unrecorded and untuned).
 type rematcher struct {
 	st    *storage.Store
+	syn   *stats.Synopsis
 	model *cost.Model
 	cal   *calibrate.Calibrator
 	// work accumulates the navigational work of the region-restricted
@@ -232,7 +234,7 @@ type rematcher struct {
 // nil engine in direct tests); the zero pieces degrade gracefully down
 // to the plain naive walk.
 func newRematcher(doc string, st *storage.Store, syn *stats.Synopsis, eng *engine.Engine) *rematcher {
-	rm := &rematcher{st: st}
+	rm := &rematcher{st: st, syn: syn}
 	if st != nil && syn != nil {
 		rm.model = cost.NewModelWith(st, syn)
 	}
@@ -260,11 +262,13 @@ func chosenEstimate(ch exec.Choice) float64 {
 // its chosen strategy and runs the cheaper. Verdicts are
 // strategy-independent — a full match filtered to the candidates equals
 // the region-restricted walk by construction — so the dispatch affects
-// cost only, never results. Either way a StrategyRecord flows into the
-// calibrator: the walk's record carries the within estimate it was
-// priced on plus counted actual work, and the full path runs through
-// exec, which emits its record like any other τ dispatch.
-func (rm *rematcher) rematch(doc string, st *storage.Store, plan core.Op, g *pattern.Graph, cands []storage.NodeRef) ([]storage.NodeRef, error) {
+// cost only, never results. The walk's record, carrying the within
+// estimate it was priced on plus counted actual work, flows into the
+// calibrator; the full path runs through exec bound to the commit's
+// snapshot, so only a re-match on that snapshot (not on the
+// intermediate store of a multi-record commit) is estimated and
+// recorded.
+func (rm *rematcher) rematch(doc string, st *storage.Store, plan *engine.Plan, g *pattern.Graph, cands []storage.NodeRef) ([]storage.NodeRef, error) {
 	if rm.model == nil {
 		return rm.walk(st, g, cands)
 	}
@@ -296,24 +300,11 @@ func (rm *rematcher) rematch(doc string, st *storage.Store, plan core.Op, g *pat
 	}
 	// Full re-match by the model's choice, filtered to the candidates.
 	rm.full++
-	// The estimator only answers for the snapshot the model was built on
-	// (intermediate stores of a multi-record commit get no estimate, so
-	// the calibrator is never fed a mispriced one).
 	eo := exec.Options{Strategy: ch.Strategy, StrictDocs: true}
-	eo.Estimator = func(cs *storage.Store, gg *pattern.Graph) *exec.CostEstimate {
-		if cs != rm.st {
-			return nil
-		}
-		return rm.model.Estimate(gg).ForExec()
-	}
-	if cal := rm.cal; cal != nil {
-		eo.Record = func(_ *storage.Store, gg *pattern.Graph, rec *exec.StrategyRecord) {
-			cal.Observe(gg, rec)
-		}
-	}
+	plan.Bind(&eo, rm.st, rm.syn, rm.cal)
 	ex := exec.New(st, eo)
 	ex.AddDocument(doc, st)
-	seq, err := ex.Eval(plan, exec.Root())
+	seq, err := ex.Eval(plan.Plan, exec.Root())
 	if err != nil {
 		return nil, err
 	}
@@ -345,7 +336,7 @@ func (rm *rematcher) walk(st *storage.Store, g *pattern.Graph, cands []storage.N
 // query in case the model prefers a full re-match. Returns false when
 // the candidate region exceeds maxCand or the re-match fails — the
 // caller falls back to a full re-run.
-func (p *incPlan) step(rec engine.MutationRecord, items []item, maxCand int, doc string, plan core.Op, rm *rematcher) ([]item, bool) {
+func (p *incPlan) step(rec engine.MutationRecord, items []item, maxCand int, doc string, plan *engine.Plan, rm *rematcher) ([]item, bool) {
 	st := rec.After
 	ins, del := rec.Stats.NodesInserted, rec.Stats.NodesDeleted
 	ep := rec.Stats.EditPoint
@@ -499,27 +490,18 @@ func assignOrigins(old, next []item) {
 // fullEval runs the compiled plan from scratch against a snapshot and
 // serializes the result. Node items of the watched store carry their
 // ref so later deltas can track them; atoms and constructed nodes do
-// not (ref -1). When rm carries a model and calibrator, every τ
-// dispatch of the run is estimated and recorded into calibration.
-func fullEval(doc string, st *storage.Store, plan core.Op, strat exec.Strategy, rm *rematcher) ([]item, error) {
+// not (ref -1). The run's cost hooks are bound to rm's snapshot: under
+// auto its τ dispatches are cost-chosen, and with a calibrator they are
+// estimated and recorded. A nil rm runs NoK, unrecorded.
+func fullEval(doc string, st *storage.Store, plan *engine.Plan, strat exec.Strategy, rm *rematcher) ([]item, error) {
 	eo := exec.Options{Strategy: strat, StrictDocs: true}
-	if rm != nil && rm.model != nil {
-		eo.Estimator = func(cs *storage.Store, g *pattern.Graph) *exec.CostEstimate {
-			if cs != rm.st {
-				return nil
-			}
-			return rm.model.Estimate(g).ForExec()
-		}
+	if rm == nil {
+		rm = &rematcher{}
 	}
-	if rm != nil && rm.cal != nil {
-		cal := rm.cal
-		eo.Record = func(_ *storage.Store, g *pattern.Graph, rec *exec.StrategyRecord) {
-			cal.Observe(g, rec)
-		}
-	}
+	plan.Bind(&eo, rm.st, rm.syn, rm.cal)
 	ex := exec.New(st, eo)
 	ex.AddDocument(doc, st)
-	seq, err := ex.Eval(plan, exec.Root())
+	seq, err := ex.Eval(plan.Plan, exec.Root())
 	if err != nil {
 		return nil, err
 	}

@@ -12,7 +12,7 @@ import (
 // bidCommit registers Auction(scale), compiles src against it and
 // commits one bid into an open auction, returning the query's
 // incremental plan, compiled plan and the commit event.
-func bidCommit(t *testing.T, scale int, src string) (*incPlan, *compile.Compiled, engine.CommitEvent) {
+func bidCommit(t *testing.T, scale int, src string) (*incPlan, *engine.Plan, engine.CommitEvent) {
 	t.Helper()
 	eng := engine.New(engine.Config{})
 	eng.RegisterStore("auction", xmark.StoreAuction(scale))
@@ -20,7 +20,7 @@ func bidCommit(t *testing.T, scale int, src string) (*incPlan, *compile.Compiled
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := compile.Compile(src, compile.Options{}, st, syn)
+	c, err := engine.Prepare(src, compile.Options{}, st, syn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestIncrementalStepWorkIndependentOfSize(t *testing.T) {
 	visits := func(scale int) int64 {
 		p, c, ev := bidCommit(t, scale, src)
 		rm := newRematcher("auction", ev.Store, nil, nil) // no model: always the walk
-		if _, ok := p.step(ev.Records[0], nil, ev.Store.NodeCount(), "auction", c.Plan, rm); !ok {
+		if _, ok := p.step(ev.Records[0], nil, ev.Store.NodeCount(), "auction", c, rm); !ok {
 			t.Fatal("incremental step refused the commit")
 		}
 		return rm.work.NodesVisited
@@ -66,7 +66,7 @@ func TestRematchFullCounted(t *testing.T) {
 	const src = `/site[people]/open_auctions/open_auction/current`
 	p, c, ev := bidCommit(t, 4, src)
 	rm := newRematcher("auction", ev.Store, ev.Syn, nil)
-	if _, ok := p.step(ev.Records[0], nil, ev.Store.NodeCount(), "auction", c.Plan, rm); !ok {
+	if _, ok := p.step(ev.Records[0], nil, ev.Store.NodeCount(), "auction", c, rm); !ok {
 		t.Fatal("incremental step refused the commit")
 	}
 	if rm.full != 1 {

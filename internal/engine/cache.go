@@ -17,7 +17,7 @@ type cacheKey struct {
 
 type cacheEntry struct {
 	key cacheKey
-	p   *plan
+	p   *Plan
 }
 
 // planCache is a tenant-partitioned LRU over compiled plans. Each
@@ -47,7 +47,7 @@ func newPlanCache(max int) *planCache {
 
 func (c *planCache) enabled() bool { return c.max > 0 }
 
-func (c *planCache) get(tenant string, k cacheKey) (*plan, bool) {
+func (c *planCache) get(tenant string, k cacheKey) (*Plan, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	part, ok := c.parts[tenant]
@@ -62,7 +62,7 @@ func (c *planCache) get(tenant string, k cacheKey) (*plan, bool) {
 	return el.Value.(*cacheEntry).p, true
 }
 
-func (c *planCache) put(tenant string, k cacheKey, p *plan) {
+func (c *planCache) put(tenant string, k cacheKey, p *Plan) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	part, ok := c.parts[tenant]

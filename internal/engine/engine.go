@@ -42,11 +42,8 @@ import (
 
 	"xqp/internal/analyze"
 	"xqp/internal/compile"
-	"xqp/internal/core"
-	"xqp/internal/cost"
 	"xqp/internal/cost/calibrate"
 	"xqp/internal/exec"
-	"xqp/internal/pattern"
 	"xqp/internal/stats"
 	"xqp/internal/storage"
 	"xqp/internal/value"
@@ -468,18 +465,6 @@ func (o QueryOptions) compileOptions() compile.Options {
 	}
 }
 
-// plan is a cached compilation; immutable and shared by concurrent
-// executions (all run state lives in each execution's exec.Engine).
-type plan struct {
-	op          core.Op
-	diagnostics []analyze.Diagnostic
-	pruned      int
-	// ests is the raw cost estimate of every τ pattern of op, priced
-	// once against the snapshot the plan was compiled for (the cache key
-	// carries the generation, so a cached plan never outlives it).
-	ests cost.Estimates
-}
-
 // Result is one query's outcome.
 type Result struct {
 	// Seq is the result sequence. Node items reference the document
@@ -584,50 +569,7 @@ func (e *Engine) run(ctx context.Context, doc, src string, opts QueryOptions, wa
 		Trace:       opts.Trace,
 		Parallelism: opts.Parallelism,
 	}
-	cal := d.cal
-	if cal != nil {
-		eo.Record = func(cs *storage.Store, g *pattern.Graph, rec *exec.StrategyRecord) {
-			if cs == st {
-				cal.Observe(g, rec)
-			}
-		}
-	}
-	// Model over the snapshot synopsis (immutable, so shared safely
-	// across this query's τ dispatches). The plan carries the raw
-	// estimate of each of its patterns, priced when it was compiled
-	// against this very snapshot, so a dispatch only applies the tuner.
-	model := cost.NewModelWith(st, syn)
-	estimate := func(g *pattern.Graph) cost.Estimate {
-		if est, ok := p.ests[g]; ok {
-			return est
-		}
-		return model.Estimate(g) // predicate sub-plans are translated at run time
-	}
-	if eo.Strategy == exec.StrategyAuto {
-		// The calibrator's fitted corrections steer the verdicts; a nil
-		// interface keeps the static constants.
-		var tuner cost.Tuner
-		if cal != nil {
-			tuner = cal
-		}
-		workers := exec.Workers(opts.Parallelism)
-		eo.Chooser = func(cs *storage.Store, g *pattern.Graph, rootAnchored bool) exec.Choice {
-			if cs != st {
-				return exec.Choice{Strategy: exec.StrategyNoK} // secondary doc() targets: no synopsis at hand
-			}
-			return model.ChoiceFor(estimate(g), g, rootAnchored, workers, tuner)
-		}
-	}
-	if opts.Trace || cal != nil {
-		// Calibration needs estimates on every record (that is the
-		// estimated side of each fit), even for forced strategies.
-		eo.Estimator = func(cs *storage.Store, g *pattern.Graph) *exec.CostEstimate {
-			if cs != st {
-				return nil
-			}
-			return estimate(g).ForExec()
-		}
-	}
+	p.Bind(&eo, st, syn, d.cal)
 	ex := exec.New(st, eo)
 	ex.AddDocument(doc, st)
 	// doc() references resolve against the catalog's current snapshots.
@@ -646,7 +588,7 @@ func (e *Engine) run(ctx context.Context, doc, src string, opts QueryOptions, wa
 	}
 
 	start := time.Now()
-	seq, err := ex.Eval(p.op, exec.Root())
+	seq, err := ex.Eval(p.Plan, exec.Root())
 	elapsed := time.Since(start)
 	e.met.observeExec(elapsed)
 	e.met.strategyFallbacks.Add(ex.Metrics.StrategyFallbacks)
@@ -668,14 +610,14 @@ func (e *Engine) run(ctx context.Context, doc, src string, opts QueryOptions, wa
 		Generation:  gen,
 		QueueWait:   wait,
 		ExecTime:    elapsed,
-		Diagnostics: p.diagnostics,
+		Diagnostics: p.Diagnostics,
 	}, nil
 }
 
 // compiledPlan returns the plan for (src, doc@gen, opts), consulting the
 // cache first. A hit performs zero parse/translate/analyze/rewrite work
 // (metrics.compilations counts actual pipeline runs; tests assert on it).
-func (e *Engine) compiledPlan(src, doc string, gen uint64, opts QueryOptions, st *storage.Store, syn *stats.Synopsis) (*plan, bool, error) {
+func (e *Engine) compiledPlan(src, doc string, gen uint64, opts QueryOptions, st *storage.Store, syn *stats.Synopsis) (*Plan, bool, error) {
 	var key cacheKey
 	if e.cache.enabled() && !opts.NoCache {
 		key = cacheKey{doc: doc, gen: gen, fp: opts.compileOptions().Fingerprint(), query: src}
@@ -686,11 +628,12 @@ func (e *Engine) compiledPlan(src, doc string, gen uint64, opts QueryOptions, st
 		e.met.cacheMisses.Add(1)
 	}
 	e.met.compilations.Add(1)
-	c, err := compile.Compile(src, opts.compileOptions(), st, syn)
+	// The cache key carries the generation, so a cached plan is only
+	// ever bound to the snapshot it was priced against.
+	p, err := Prepare(src, opts.compileOptions(), st, syn)
 	if err != nil {
 		return nil, false, fmt.Errorf("%w: %w", ErrInvalidQuery, err)
 	}
-	p := &plan{op: c.Plan, diagnostics: c.Diagnostics, pruned: c.Pruned, ests: cost.NewModelWith(st, syn).EstimatePlan(c.Plan)}
 	if e.cache.enabled() && !opts.NoCache {
 		e.cache.put(opts.Tenant, key, p)
 	}

@@ -4,13 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"xqp/internal/compile"
 	"xqp/internal/cost"
 	"xqp/internal/exec"
+	"xqp/internal/stats"
 	"xqp/internal/storage"
 	"xqp/internal/xmark"
 	"xqp/internal/xmldoc"
@@ -692,6 +695,72 @@ func TestCachedPlanHitDoesNoEstimate(t *testing.T) {
 		t.Fatalf("cached-plan hits priced %d patterns against the synopsis, want 0", n)
 	}
 }
+
+// TestCachedPlanHitAllocs bounds the allocations of a plan-cache hit
+// with the default configuration (auto strategy, calibration on): the
+// bounds are the counts measured before the cost hooks were bound by
+// Plan.Bind, so binding must not cost more than the per-query closures
+// it replaced.
+func TestCachedPlanHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	e := newBibEngine(t, Config{})
+	for _, c := range []struct {
+		q   string
+		max float64
+	}{
+		{`/bib/book/title`, 44},
+		{`//book[price]/title`, 41},
+		{`count(//last)`, 41},
+	} {
+		run := func() {
+			res, err := e.Query(context.Background(), "bib.xml", c.q, QueryOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Cached {
+				t.Fatalf("%s: plan not cached", c.q)
+			}
+		}
+		if _, err := e.Query(context.Background(), "bib.xml", c.q, QueryOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(100, run); n > c.max {
+			t.Errorf("%s: a plan-cache hit allocates %.0f times, want at most %.0f", c.q, n, c.max)
+		}
+	}
+}
+
+// TestPlanDoesNotPinStore: a prepared plan identifies the store it was
+// priced against without referencing it, so the plans the cache keeps
+// past a commit do not keep old generations alive.
+func TestPlanDoesNotPinStore(t *testing.T) {
+	st, err := storage.LoadReader(strings.NewReader(bibXML))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Prepare(`//book[price]/title`, compile.Options{}, st, stats.Build(st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	collected := make(chan struct{})
+	runtime.SetFinalizer(st, func(*storage.Store) { close(collected) })
+	st = nil
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			runtime.KeepAlive(p)
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the store a plan was priced against stays reachable from the plan")
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
 
 func TestStrategyFallbackMetric(t *testing.T) {
 	e := newBibEngine(t, Config{})

@@ -1,9 +1,11 @@
-package engine
+package engine_test
 
 import (
 	"context"
 	"testing"
 
+	"xqp"
+	"xqp/internal/engine"
 	"xqp/internal/exec"
 	"xqp/internal/xmark"
 )
@@ -18,7 +20,10 @@ import (
 //     prices its fragment probes lower), never on batched streams;
 //   - no dispatch falls back from the strategy the model chose.
 //
-// Calibration is off so the verdicts are the static model's.
+// Each query runs through the engine and through the facade
+// (xqp.Database), which share one prepare-and-bind path, so both must
+// execute the same strategy. Calibration is off in both, so the
+// verdicts are the static model's.
 func TestDefaultVerdictsOnWorkloadQueries(t *testing.T) {
 	const (
 		nok  = exec.StrategyNoK
@@ -73,22 +78,33 @@ func TestDefaultVerdictsOnWorkloadQueries(t *testing.T) {
 			{`count(//bidder)`, path},
 		}},
 	} {
-		e := New(Config{DisableCalibration: true})
-		e.RegisterStore("auction.xml", xmark.StoreAuction(w.scale))
+		st := xmark.StoreAuction(w.scale)
+		e := engine.New(engine.Config{DisableCalibration: true})
+		e.RegisterStore("auction.xml", st)
+		db := xqp.FromStore(st)
 		for _, v := range w.qs {
-			res, err := e.Query(context.Background(), "auction.xml", v.q, QueryOptions{Trace: true})
+			res, err := e.Query(context.Background(), "auction.xml", v.q, engine.QueryOptions{Trace: true})
 			if err != nil {
 				t.Fatalf("%s %s: %v", w.name, v.q, err)
 			}
-			var recs []*exec.StrategyRecord
-			res.Trace.Visit(func(s *exec.Span) { recs = append(recs, s.Strategies...) })
-			if len(recs) != 1 {
-				t.Fatalf("%s %s: %d τ dispatches, want 1", w.name, v.q, len(recs))
+			fres, err := db.QueryWith(v.q, xqp.Options{Trace: true})
+			if err != nil {
+				t.Fatalf("facade %s %s: %v", w.name, v.q, err)
 			}
-			r := recs[0]
-			if r.Executed != v.want || r.Fallback || r.Batched {
-				t.Errorf("%s@%d %s: executed %v (chosen %v, fallback %v, batched %v), want interpreted %v",
-					w.name, w.scale, v.q, r.Executed, r.Chosen, r.Fallback, r.Batched, v.want)
+			for _, run := range []struct {
+				path  string
+				trace *exec.Span
+			}{{"engine", res.Trace}, {"facade", fres.Trace}} {
+				var recs []*exec.StrategyRecord
+				run.trace.Visit(func(s *exec.Span) { recs = append(recs, s.Strategies...) })
+				if len(recs) != 1 {
+					t.Fatalf("%s %s %s: %d τ dispatches, want 1", run.path, w.name, v.q, len(recs))
+				}
+				r := recs[0]
+				if r.Executed != v.want || r.Fallback || r.Batched {
+					t.Errorf("%s %s@%d %s: executed %v (chosen %v, fallback %v, batched %v), want interpreted %v",
+						run.path, w.name, w.scale, v.q, r.Executed, r.Chosen, r.Fallback, r.Batched, v.want)
+				}
 			}
 		}
 	}

@@ -93,10 +93,18 @@ func (s Sequence) String() string {
 // Singleton wraps one item.
 func Singleton(it Item) Sequence { return Sequence{it} }
 
+// ErrDynamic is the class of XQuery dynamic errors a query raises on
+// its data, such as a type mismatch or a call of error(): a property of
+// the query, not an engine fault. Such errors match it with errors.Is.
+var ErrDynamic = errors.New("dynamic error")
+
 // TypeError reports a dynamic type mismatch.
 type TypeError struct{ Msg string }
 
 func (e *TypeError) Error() string { return "type error: " + e.Msg }
+
+// Is makes every TypeError an ErrDynamic.
+func (e *TypeError) Is(target error) bool { return target == ErrDynamic }
 
 func typeErrf(format string, args ...any) error {
 	return &TypeError{Msg: fmt.Sprintf(format, args...)}

@@ -29,10 +29,9 @@ import (
 	"xqp/internal/analyze"
 	"xqp/internal/compile"
 	"xqp/internal/core"
-	"xqp/internal/cost"
 	"xqp/internal/cost/calibrate"
+	"xqp/internal/engine"
 	"xqp/internal/exec"
-	"xqp/internal/pattern"
 	"xqp/internal/rewrite"
 	"xqp/internal/stats"
 	"xqp/internal/storage"
@@ -107,10 +106,11 @@ type Options struct {
 	// dispatch; a forced Strategy parallelizes unconditionally.
 	// xqvet:cachekey exec-only
 	Parallelism int
-	// Calibrate feeds every τ dispatch record into the database's
-	// per-document calibrators (cost/calibrate) and, under Strategy
-	// Auto, lets the fitted scales, batch factor and parallel-degree
-	// table tune the chooser. Results are unchanged — only strategy choice is.
+	// Calibrate feeds every τ dispatch record on the primary document
+	// into the database's calibrator (cost/calibrate) and, under
+	// Strategy Auto, lets the fitted scales, batch factor and
+	// parallel-degree table tune the chooser. Results are unchanged —
+	// only strategy choice is.
 	// xqvet:cachekey exec-only
 	Calibrate bool
 }
@@ -120,27 +120,25 @@ type Diagnostic = analyze.Diagnostic
 
 // Database holds a primary document and a catalog of named documents.
 //
+// Queries run the engine's prepare-and-bind path (see Database.Compile
+// and Database.Run): only the primary document is cost-modeled, from a
+// synopsis built once when the database is constructed, so under
+// Strategy Auto its τ dispatches are cost-chosen while doc() targets
+// run NoK.
+//
 // Concurrency: a Database is safe for concurrent use. Queries
-// (Compile/Run/Query/QueryWith, including cost-based ones) may run in
-// parallel with each other and with catalog mutations (AddDocument);
-// each query snapshots the catalog at Run time. Cost models and
-// synopses are built eagerly when a document is loaded (Open,
-// AddDocument), never lazily on the query path, so the read path takes
-// only a read lock.
+// (Compile/Run/Query/QueryWith) may run in parallel with each other and
+// with catalog mutations (AddDocument); each query snapshots the catalog
+// at Run time, taking only a read lock.
 type Database struct {
 	mu sync.RWMutex
-	// store is the primary document, set at construction and immutable
-	// afterwards (reads need no lock).
+	// store is the primary document and syn its synopsis, set at
+	// construction and immutable afterwards (reads need no lock); cal
+	// is its calibrator, which synchronizes itself.
 	store   *storage.Store
+	syn     *stats.Synopsis
+	cal     *calibrate.Calibrator
 	catalog map[string]*storage.Store // guarded by mu
-	// models holds one cost model (store + synopsis) per registered
-	// store, keyed by identity; entries are dropped when a catalog URI
-	// is replaced, so closed stores are not retained.
-	models map[*storage.Store]*cost.Model // guarded by mu
-	// cals holds one calibrator per registered store, created alongside
-	// the cost model and dropped with it; Calibrator is internally
-	// synchronized, so queries only need the read lock to look one up.
-	cals map[*storage.Store]*calibrate.Calibrator // guarded by mu
 }
 
 // Open loads the primary document from r.
@@ -173,31 +171,26 @@ func OpenFile(path string) (*Database, error) {
 	return FromStore(st), nil
 }
 
-// FromStore wraps an existing document store, building its synopsis and
-// cost model up front. The catalog and model maps are fully populated
-// before the Database is constructed, so no field is ever written
-// outside its lock.
+// FromStore wraps an existing document store, building its synopsis
+// up front. The catalog is populated before the Database is
+// constructed, so it is never written outside its lock.
 func FromStore(st *storage.Store) *Database {
 	catalog := map[string]*storage.Store{}
-	models := map[*storage.Store]*cost.Model{}
-	cals := map[*storage.Store]*calibrate.Calibrator{}
+	var syn *stats.Synopsis
 	if st != nil {
-		models[st] = cost.NewModel(st)
-		cals[st] = calibrate.New()
+		syn = stats.Build(st)
 		if st.URI != "" {
 			catalog[st.URI] = st
 		}
 	}
-	return &Database{store: st, catalog: catalog, models: models, cals: cals}
+	return &Database{store: st, syn: syn, cal: calibrate.New(), catalog: catalog}
 }
 
 // Store exposes the underlying succinct store (for experiments and
 // advanced integrations).
 func (db *Database) Store() *storage.Store { return db.store }
 
-// AddDocument registers an additional document under a URI for doc(),
-// building its synopsis and cost model. Replacing a URI releases the
-// previous store's model.
+// AddDocument registers an additional document under a URI for doc().
 func (db *Database) AddDocument(uri string, r io.Reader) error {
 	st, err := storage.LoadReader(r)
 	if err != nil {
@@ -206,13 +199,7 @@ func (db *Database) AddDocument(uri string, r io.Reader) error {
 	st.URI = uri
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if old, ok := db.catalog[uri]; ok && old != db.store {
-		delete(db.models, old)
-		delete(db.cals, old)
-	}
 	db.catalog[uri] = st
-	db.models[st] = cost.NewModel(st)
-	db.cals[st] = calibrate.New()
 	return nil
 }
 
@@ -244,10 +231,9 @@ type Query struct {
 	opts   Options
 	st     *storage.Store
 	syn    *stats.Synopsis
-	// ests prices every τ pattern of Plan once against the primary
-	// document (nil when compiled without one), so runs on that document
-	// apply the chooser without re-walking its synopsis.
-	ests cost.Estimates
+	// prep is the prepared plan Run binds: priced against the primary
+	// document when compiled with one.
+	prep *engine.Plan
 }
 
 // Compile parses, translates, analyzes and optimizes a query without a
@@ -259,101 +245,23 @@ func Compile(src string, opts Options) (*Query, error) {
 
 // Compile compiles a query against the database's primary document,
 // enabling the analyzer's synopsis-based unmatchability checks and
-// pattern-cardinality annotation for the cost model.
+// pattern-cardinality annotation, and prices its τ patterns for the
+// cost model.
 func (db *Database) Compile(src string, opts Options) (*Query, error) {
-	m := db.model(db.store)
-	if m == nil {
-		return compileQuery(src, opts, db.store, nil)
-	}
-	q, err := compileQuery(src, opts, db.store, m.Synopsis())
-	if err != nil {
-		return nil, err
-	}
-	if opts.Strategy == Auto || opts.Trace || opts.Calibrate {
-		q.ests = m.EstimatePlan(q.Plan) // read by the chooser and the estimator
-	}
-	return q, nil
+	return compileQuery(src, opts, db.store, db.syn)
 }
 
-// model returns a registered store's cost model (nil for stores the
-// database did not load, such as γ-constructed temporaries).
-func (db *Database) model(st *storage.Store) *cost.Model {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.models[st]
-}
+// Calibrator returns the primary document's calibrator. Use it to
+// inspect fits or snapshot/restore tuning around process restarts; it
+// is safe for concurrent use.
+func (db *Database) Calibrator() *calibrate.Calibrator { return db.cal }
 
-// choice is the executor's cost-based chooser hook: it resolves the
-// model for the τ's store under a read lock. Stores without a model
-// (γ-constructed temporaries) run NoK. workers is the query's worker
-// budget as exec.Workers resolves it, so the model weighs serial against
-// the partitioned variant the executor would run;
-// calibrated selects the store's calibrator as the model's tuner.
-func (db *Database) choice(q *Query, st *storage.Store, g *pattern.Graph, rootAnchored bool, workers int, calibrated bool) exec.Choice {
-	db.mu.RLock()
-	m := db.models[st]
-	cal := db.cals[st]
-	db.mu.RUnlock()
-	if m == nil {
-		return exec.Choice{Strategy: exec.StrategyNoK}
-	}
-	var tuner cost.Tuner
-	if calibrated && cal != nil {
-		tuner = cal
-	}
-	return m.ChoiceFor(q.estimate(m, st, g), g, rootAnchored, workers, tuner)
-}
-
-// estimate returns the raw estimate of g on st: the one priced at
-// compile time when st is the document the query was compiled against,
-// else a fresh walk of m's synopsis.
-func (q *Query) estimate(m *cost.Model, st *storage.Store, g *pattern.Graph) cost.Estimate {
-	if st == q.st {
-		if e, ok := q.ests[g]; ok {
-			return e
-		}
-	}
-	return m.Estimate(g)
-}
-
-// Calibrator returns the primary document's calibrator (nil without a
-// primary document). Use it to inspect fits or snapshot/restore tuning
-// around process restarts; it is safe for concurrent use.
-func (db *Database) Calibrator() *calibrate.Calibrator {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.cals[db.store]
-}
-
-// CalibrationStats sums the observation and regret counters over every
-// registered document's calibrator.
-func (db *Database) CalibrationStats() (observed, regret int64) {
-	db.mu.RLock()
-	cals := make([]*calibrate.Calibrator, 0, len(db.cals))
-	for _, c := range db.cals {
-		cals = append(cals, c)
-	}
-	db.mu.RUnlock()
-	for _, c := range cals {
-		o, r := c.Stats()
-		observed += o
-		regret += r
-	}
-	return observed, regret
-}
-
-// estimate is the executor's trace estimator hook: cost estimates for
-// strategy records without influencing the executed strategy.
-func (db *Database) estimate(q *Query, st *storage.Store, g *pattern.Graph) *exec.CostEstimate {
-	m := db.model(st)
-	if m == nil {
-		return nil
-	}
-	return q.estimate(m, st, g).ForExec()
-}
+// CalibrationStats reports the calibrator's observation and regret
+// counters.
+func (db *Database) CalibrationStats() (observed, regret int64) { return db.cal.Stats() }
 
 func compileQuery(src string, opts Options, st *storage.Store, syn *stats.Synopsis) (*Query, error) {
-	c, err := compile.Compile(src, compile.Options{
+	p, err := engine.Prepare(src, compile.Options{
 		DisableAnalyzer: opts.DisableAnalyzer,
 		DisableRewrites: opts.DisableRewrites,
 		Rewrites:        opts.Rewrites,
@@ -363,13 +271,14 @@ func compileQuery(src string, opts Options, st *storage.Store, syn *stats.Synops
 	}
 	return &Query{
 		Source:       src,
-		Plan:         c.Plan,
-		RewriteStats: c.RewriteStats,
-		Diagnostics:  c.Diagnostics,
-		Pruned:       c.Pruned,
+		Plan:         p.Plan,
+		RewriteStats: p.RewriteStats,
+		Diagnostics:  p.Diagnostics,
+		Pruned:       p.Pruned,
 		opts:         opts,
 		st:           st,
 		syn:          syn,
+		prep:         p,
 	}, nil
 }
 
@@ -425,7 +334,8 @@ func (q *Query) ExplainAnnotated() string {
 
 // Run executes a compiled query against the database. Safe for
 // concurrent use: each run gets its own executor over a catalog
-// snapshot, and the shared cost models are read-only after load.
+// snapshot, with the cost hooks bound to the primary document (the
+// calibrator only under Options.Calibrate).
 func (db *Database) Run(q *Query) (*Result, error) {
 	eo := exec.Options{
 		Strategy:    q.opts.Strategy,
@@ -434,28 +344,11 @@ func (db *Database) Run(q *Query) (*Result, error) {
 		Trace:       q.opts.Trace,
 		Parallelism: q.opts.Parallelism,
 	}
-	if eo.Strategy == Auto {
-		workers := exec.Workers(q.opts.Parallelism)
-		calibrated := q.opts.Calibrate
-		eo.Chooser = func(st *storage.Store, g *pattern.Graph, rootAnchored bool) exec.Choice {
-			return db.choice(q, st, g, rootAnchored, workers, calibrated)
-		}
-	}
-	if q.opts.Trace || q.opts.Calibrate {
-		eo.Estimator = func(st *storage.Store, g *pattern.Graph) *exec.CostEstimate {
-			return db.estimate(q, st, g)
-		}
-	}
+	var cal *calibrate.Calibrator
 	if q.opts.Calibrate {
-		eo.Record = func(st *storage.Store, g *pattern.Graph, rec *exec.StrategyRecord) {
-			db.mu.RLock()
-			cal := db.cals[st]
-			db.mu.RUnlock()
-			if cal != nil {
-				cal.Observe(g, rec)
-			}
-		}
+		cal = db.cal
 	}
+	q.prep.Bind(&eo, db.store, db.syn, cal)
 	db.mu.RLock()
 	catalog := make(map[string]*storage.Store, len(db.catalog))
 	for uri, st := range db.catalog {

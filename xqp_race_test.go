@@ -11,8 +11,8 @@ import (
 
 // TestConcurrentCostBasedQueries hammers one shared Database with
 // cost-based queries from many goroutines. The Database godoc promises
-// this is safe: the per-store cost models are built eagerly at
-// Open/AddDocument time and the read path takes only a read lock. Run
+// this is safe: the primary document's synopsis is built once when the
+// Database is constructed and the read path takes only a read lock. Run
 // under -race this guards against regressions to lazy, unsynchronized
 // chooser or synopsis initialization on the query path.
 func TestConcurrentCostBasedQueries(t *testing.T) {
@@ -52,8 +52,7 @@ func TestConcurrentCostBasedQueries(t *testing.T) {
 }
 
 // TestConcurrentQueriesWithCatalogChurn interleaves cost-based queries
-// with AddDocument replacements, exercising the locked catalog and
-// model-map maintenance.
+// with AddDocument replacements, exercising the locked catalog.
 func TestConcurrentCostBasedWithCatalogChurn(t *testing.T) {
 	db := FromStore(xmark.StoreBib(4))
 	var wg sync.WaitGroup

@@ -374,6 +374,41 @@ func TestMultiDocument(t *testing.T) {
 	}
 }
 
+// TestDocTargetsRunNoK: the cost hooks are bound to the primary
+// document only. Under auto a doc() target runs NoK with no estimate and
+// feeds no calibrator, while the primary document's dispatch is priced
+// and, under Calibrate, recorded.
+func TestDocTargetsRunNoK(t *testing.T) {
+	db := mustDB(t)
+	if err := db.AddDocumentString("other.xml", `<x><y><z/></y><y><z/></y></x>`); err != nil {
+		t.Fatal(err)
+	}
+	records := func(src string) []*TraceStrategyRecord {
+		res, err := db.QueryWith(src, Options{Trace: true, Calibrate: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var recs []*TraceStrategyRecord
+		res.Trace.Visit(func(s *TraceSpan) { recs = append(recs, s.Strategies...) })
+		if len(recs) != 1 {
+			t.Fatalf("%s: %d τ dispatches, want 1", src, len(recs))
+		}
+		return recs
+	}
+	if r := records(`count(doc("other.xml")//y//z)`)[0]; r.Executed != NoK || r.Estimate != nil {
+		t.Errorf("doc() target: executed %v with estimate %v, want NoK unestimated", r.Executed, r.Estimate)
+	}
+	if observed, _ := db.CalibrationStats(); observed != 0 {
+		t.Errorf("doc() target fed the calibrator %d records", observed)
+	}
+	if r := records(`count(//book//last)`)[0]; r.Estimate == nil {
+		t.Error("primary document dispatch carries no estimate")
+	}
+	if observed, _ := db.CalibrationStats(); observed != 1 {
+		t.Errorf("calibrator observed %d records, want 1", observed)
+	}
+}
+
 func TestErrors(t *testing.T) {
 	db := mustDB(t)
 	for _, src := range []string{
@@ -795,7 +830,11 @@ func TestIntegerArithmeticConformance(t *testing.T) {
 // each arity bound keep their answers.
 func TestFunctionCallConformance(t *testing.T) {
 	db := mustDB(t)
-	const static = "XPST0017"
+	const (
+		static = "XPST0017"
+		// A step predicate is translated at compile time too.
+		untranslatable = "core: doc() requires a string literal argument"
+	)
 	for _, c := range []struct{ src, want string }{
 		{`true(1)`, "XPST0017 at line 1, column 1"},
 		{`false(1, 2)`, "XPST0017 at line 1, column 1"},
@@ -810,6 +849,7 @@ func TestFunctionCallConformance(t *testing.T) {
 		{`//a[false() and foo()]`, "XPST0017 at line 1, column 17"},
 		{`//a[foo()]`, "XPST0017 at line 1, column 5"},
 		{"1 +\n  fn:count()", "XPST0017 at line 2, column 3"},
+		{`for $u in ("a") return //book[doc($u)]`, untranslatable},
 		{`true()`, "true"},
 		{`false()`, "false"},
 		{`not(())`, "true"},
@@ -842,7 +882,7 @@ func TestFunctionCallConformance(t *testing.T) {
 	} {
 		_, cerr := Compile(c.src, Options{})
 		res, err := db.Query(c.src)
-		if strings.HasPrefix(c.want, static) {
+		if strings.HasPrefix(c.want, static) || c.want == untranslatable {
 			if cerr == nil || !strings.Contains(cerr.Error(), c.want) {
 				t.Errorf("Compile(%q): err %v, want %s", c.src, cerr, c.want)
 			}
