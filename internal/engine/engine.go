@@ -327,6 +327,16 @@ func (e *Engine) Docs() []DocInfo {
 	return out
 }
 
+// docSnapshot returns the current store of a catalog document.
+func (e *Engine) docSnapshot(name string) (*storage.Store, bool) {
+	d, err := e.lookup(name)
+	if err != nil {
+		return nil, false
+	}
+	st, _, _ := d.snapshot()
+	return st, true
+}
+
 func (e *Engine) lookup(name string) (*document, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -572,20 +582,9 @@ func (e *Engine) run(ctx context.Context, doc, src string, opts QueryOptions, wa
 	p.Bind(&eo, st, syn, d.cal)
 	ex := exec.New(st, eo)
 	ex.AddDocument(doc, st)
-	// doc() references resolve against the catalog's current snapshots.
-	e.mu.RLock()
-	others := make([]*document, 0, len(e.docs))
-	for _, od := range e.docs {
-		others = append(others, od)
-	}
-	e.mu.RUnlock()
-	for _, od := range others {
-		if od == d {
-			continue
-		}
-		os, _, _ := od.snapshot()
-		ex.AddDocument(od.name, os)
-	}
+	// Other doc() references resolve against the catalog's current
+	// snapshot on first use.
+	ex.SetResolver(e.docSnapshot)
 
 	start := time.Now()
 	seq, err := ex.Eval(p.Plan, exec.Root())

@@ -385,6 +385,35 @@ func TestCrossDocumentQuery(t *testing.T) {
 	}
 }
 
+// TestCrossDocumentSeesCurrentGeneration: doc("other") reads the other
+// document's current generation, also after a commit to it, and the
+// cached plan of the querying document is reused meanwhile.
+func TestCrossDocumentSeesCurrentGeneration(t *testing.T) {
+	e := newBibEngine(t, Config{})
+	e.RegisterStore("wide.xml", xmark.StoreWide(4))
+	count := func() (string, bool) {
+		t.Helper()
+		res, err := e.Query(context.Background(), "wide.xml", `count(doc("bib.xml")//book)`, QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Seq.String(), res.Cached
+	}
+	if got, _ := count(); got != "2" {
+		t.Fatalf("before the commit: count = %s, want 2", got)
+	}
+	if _, err := e.Apply("bib.xml", []Mutation{{Op: MutationInsert, Path: "/", XML: `<book><title>T</title></book>`}}); err != nil {
+		t.Fatal(err)
+	}
+	got, cached := count()
+	if got != "3" {
+		t.Fatalf("after the commit: count = %s, want 3", got)
+	}
+	if !cached {
+		t.Fatal("a commit to another document invalidated the plan")
+	}
+}
+
 func TestSaturation(t *testing.T) {
 	e := newBibEngine(t, Config{MaxConcurrent: 1, QueueDepth: -1})
 	// Occupy the only admission ticket: with no queue, the next query
@@ -705,7 +734,13 @@ func TestCachedPlanHitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	e := newBibEngine(t, Config{})
+	// A catalog of 64 documents costs a hit nothing over a catalog of
+	// one: doc() targets are resolved on use, not registered up front.
+	many := newBibEngine(t, Config{})
+	for i := 1; i < 64; i++ {
+		many.RegisterStore(fmt.Sprintf("other%d.xml", i), xmark.StoreWide(4))
+	}
+	one := newBibEngine(t, Config{})
 	for _, c := range []struct {
 		q   string
 		max float64
@@ -714,20 +749,26 @@ func TestCachedPlanHitAllocs(t *testing.T) {
 		{`//book[price]/title`, 41},
 		{`count(//last)`, 41},
 	} {
-		run := func() {
-			res, err := e.Query(context.Background(), "bib.xml", c.q, QueryOptions{})
-			if err != nil {
+		hitAllocs := func(e *Engine) float64 {
+			if _, err := e.Query(context.Background(), "bib.xml", c.q, QueryOptions{}); err != nil {
 				t.Fatal(err)
 			}
-			if !res.Cached {
-				t.Fatalf("%s: plan not cached", c.q)
-			}
+			return testing.AllocsPerRun(100, func() {
+				res, err := e.Query(context.Background(), "bib.xml", c.q, QueryOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.Cached {
+					t.Fatalf("%s: plan not cached", c.q)
+				}
+			})
 		}
-		if _, err := e.Query(context.Background(), "bib.xml", c.q, QueryOptions{}); err != nil {
-			t.Fatal(err)
+		n1, n64 := hitAllocs(one), hitAllocs(many)
+		if n1 > c.max {
+			t.Errorf("%s: a plan-cache hit allocates %.0f times, want at most %.0f", c.q, n1, c.max)
 		}
-		if n := testing.AllocsPerRun(100, run); n > c.max {
-			t.Errorf("%s: a plan-cache hit allocates %.0f times, want at most %.0f", c.q, n, c.max)
+		if n64 > n1 {
+			t.Errorf("%s: a plan-cache hit allocates %.0f times with 64 documents, %.0f with one", c.q, n64, n1)
 		}
 	}
 }

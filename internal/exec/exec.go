@@ -158,6 +158,8 @@ type Engine struct {
 	opts    Options
 	def     *storage.Store
 	catalog map[string]*storage.Store
+	// resolve looks up a doc() URI the catalog lacks; see SetResolver.
+	resolve func(uri string) (*storage.Store, bool)
 	// Metrics accumulates counters; reset freely between measurements.
 	Metrics Metrics
 	// predPlans caches predicate AST translations.
@@ -180,6 +182,15 @@ func New(def *storage.Store, opts Options) *Engine {
 // AddDocument registers a document under a URI for doc().
 func (e *Engine) AddDocument(uri string, st *storage.Store) {
 	e.catalog[uri] = st
+}
+
+// SetResolver installs the lookup of doc() URIs that no AddDocument
+// registered. A URI is resolved on its first use and the store found is
+// registered, so one evaluation sees one store per URI. With a resolver
+// installed, the catalog lists only the documents used so far, so it
+// suits StrictDocs: an unknown URI is an error then.
+func (e *Engine) SetResolver(resolve func(uri string) (*storage.Store, bool)) {
+	e.resolve = resolve
 }
 
 // Context carries the dynamic context: the context item, its position and
@@ -379,6 +390,12 @@ func (e *Engine) resolveDoc(uri string) (*storage.Store, error) {
 	}
 	if st, ok := e.catalog[uri]; ok {
 		return st, nil
+	}
+	if e.resolve != nil {
+		if st, ok := e.resolve(uri); ok {
+			e.catalog[uri] = st
+			return st, nil
+		}
 	}
 	if e.def != nil && !e.opts.StrictDocs {
 		// Unregistered URI while only the default document is known:

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"xqp/internal/ast"
@@ -180,4 +181,40 @@ func TestMatchableRelative(t *testing.T) {
 	if s.Matchable(st, relNo) {
 		t.Error("relative c/b matches nowhere")
 	}
+}
+
+// TestConcurrentWalks: one synopsis serves walks from several goroutines
+// at once, each with a pooled walker, and every answer equals the serial
+// one.
+func TestConcurrentWalks(t *testing.T) {
+	st := xmark.StoreAuction(1)
+	s := Build(st)
+	var graphs []*pattern.Graph
+	for _, q := range []string{"//item/name", "/site//person[phone]/name", "//listitem//text", "//zzz", "a//b"} {
+		graphs = append(graphs, graphOf(t, q))
+	}
+	type answer struct {
+		est float64
+		ok  bool
+	}
+	want := make([]answer, len(graphs))
+	for i, g := range graphs {
+		want[i] = answer{s.EstimatePattern(st, g), s.Matchable(st, g)}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 200; rep++ {
+				for i, g := range graphs {
+					if got := (answer{s.EstimatePattern(st, g), s.Matchable(st, g)}); got != want[i] {
+						t.Errorf("%s: %v, serially %v", g, got, want[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -3,6 +3,7 @@ package storage
 import (
 	"unicode/utf8"
 
+	"xqp/internal/vocab"
 	"xqp/internal/xmldoc"
 )
 
@@ -68,7 +69,7 @@ func (s *Store) appendSubtree(dst []byte, n NodeRef, sx *syntax) []byte {
 					dst = appendToken(dst, sx.emptyEnd)
 				} else {
 					dst = appendToken(dst, sx.endOpen)
-					dst = sx.raw.appendName(dst, s.Vocab.Name(s.tags[top]))
+					dst = s.appendName(dst, sx, s.tags[top], 0)
 					dst = appendToken(dst, sx.gt)
 				}
 				tagOpen = false
@@ -98,7 +99,7 @@ func (s *Store) appendSubtree(dst []byte, n NodeRef, sx *syntax) []byte {
 				stack = append(stack, r)
 			case xmldoc.KindElement:
 				dst = appendToken(dst, sx.lt)
-				dst = sx.raw.appendName(dst, s.Vocab.Name(s.tags[r]))
+				dst = s.appendName(dst, sx, s.tags[r], 0)
 				tagOpen = true
 				stack = append(stack, r)
 			case xmldoc.KindText:
@@ -115,7 +116,7 @@ func (s *Store) appendSubtree(dst []byte, n NodeRef, sx *syntax) []byte {
 				if inElement {
 					dst = append(dst, ' ')
 				}
-				dst = sx.raw.appendName(dst, s.Vocab.Name(s.tags[r])[1:])
+				dst = s.appendName(dst, sx, s.tags[r], 1)
 				dst = appendToken(dst, sx.attrOpen)
 				dst = sx.attr.append(dst, val)
 				dst = appendToken(dst, sx.quote)
@@ -125,7 +126,7 @@ func (s *Store) appendSubtree(dst []byte, n NodeRef, sx *syntax) []byte {
 				dst = appendToken(dst, sx.commentEnd)
 			case xmldoc.KindPI:
 				dst = appendToken(dst, sx.piOpen)
-				dst = sx.raw.appendName(dst, s.Vocab.Name(s.tags[r])[1:])
+				dst = s.appendName(dst, sx, s.tags[r], 1)
 				dst = append(dst, ' ')
 				dst = sx.raw.append(dst, val)
 				dst = appendToken(dst, sx.piEnd)
@@ -147,7 +148,8 @@ func (s *Store) appendSubtree(dst []byte, n NodeRef, sx *syntax) []byte {
 
 // syntax is what appendSubtree writes with: its literal tokens, the
 // escaper of text and the one of attribute values, and raw, the escaper
-// of what XML prints unescaped (names, comment and PI content).
+// of what XML prints unescaped (names, comment and PI content): nil for
+// XML, jsonString for JSON.
 type syntax struct {
 	lt, gt, endOpen, emptyEnd string // "<", ">", "</", "/>"
 	attrOpen, quote           string // `="`, `"`
@@ -242,25 +244,18 @@ func (e *escaper) append(dst []byte, s string) []byte {
 	return append(dst, s[start:]...)
 }
 
-// appendName appends a tag, attribute or PI name. Names are plain in
-// practice, so a byte check decides, and the general escaper runs only
-// when the check fails.
-func (e *escaper) appendName(dst []byte, name string) []byte {
-	if e == nil {
+// appendName appends the tag, attribute or PI name of symbol sym, less
+// the first skip bytes (the "@" or "?" that storage prefixes attribute
+// and PI names with), through sx.raw. That escaper is nil or jsonString,
+// and the vocabulary records once per name whether jsonString leaves it
+// unchanged, so plain names, the rule in practice, are copied as they
+// are.
+func (s *Store) appendName(dst []byte, sx *syntax, sym vocab.Symbol, skip int) []byte {
+	name := s.Vocab.Name(sym)[skip:]
+	if sx.raw == nil || s.Vocab.JSONPlain(sym) {
 		return append(dst, name...)
 	}
-	return e.appendCheckedName(dst, name)
-}
-
-// appendCheckedName is appendName's byte check, out of line so that
-// appendName inlines and the XML serializer appends names directly.
-func (e *escaper) appendCheckedName(dst []byte, name string) []byte {
-	for i := 0; i < len(name); i++ {
-		if !e.plain[name[i]] {
-			return e.append(dst, name)
-		}
-	}
-	return append(dst, name...)
+	return sx.raw.append(dst, name)
 }
 
 var (

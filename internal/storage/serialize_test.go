@@ -135,6 +135,38 @@ func TestAppendXMLHandCases(t *testing.T) {
 	}
 }
 
+// TestAppendXMLJSONFlaggedNames: names that the JSON escaper rewrites
+// are flagged as not plain by the vocabulary and serialized through the
+// escaper, the others are flagged plain and copied.
+func TestAppendXMLJSONFlaggedNames(t *testing.T) {
+	b := storage.NewBuilder(nil)
+	b.StartElement("a")
+	b.Attr("x", "1")
+	b.Attr("y&", "2")
+	b.PI("p<", "d")
+	b.StartElement("b\u2028")
+	b.StartElement(`q"`)
+	b.StartElement("c\x01\xff")
+	b.EndElement()
+	b.EndElement()
+	b.EndElement()
+	b.EndElement()
+	st := b.Build()
+	for name, plain := range map[string]bool{
+		"a": true, "@x": true,
+		"@y&": false, "?p<": false, "b\u2028": false, `q"`: false, "c\x01\xff": false,
+	} {
+		sym := st.Vocab.Lookup(name)
+		if sym < 0 {
+			t.Fatalf("%q not interned", name)
+		}
+		if got := st.Vocab.JSONPlain(sym); got != plain {
+			t.Errorf("JSONPlain(%q) = %v, want %v", name, got, plain)
+		}
+	}
+	checkEveryNode(t, "flagged names", st)
+}
+
 // TestAppendXMLAfterUpdates runs random insert/delete sequences, which
 // leave adjacent text siblings, trailing attributes and text directly
 // under elements that had none, and compares every node after each step.

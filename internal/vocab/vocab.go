@@ -27,13 +27,14 @@ const Root Symbol = 0
 type Table struct {
 	byName map[string]Symbol
 	names  []string
+	// plain records, per symbol, whether the name is JSON-plain.
+	plain []bool
 }
 
 // New returns a Table with the reserved root symbol pre-interned.
 func New() *Table {
 	t := &Table{byName: make(map[string]Symbol, 64)}
-	t.names = append(t.names, "#root")
-	t.byName["#root"] = Root
+	t.Intern("#root")
 	return t
 }
 
@@ -44,8 +45,22 @@ func (t *Table) Intern(name string) Symbol {
 	}
 	s := Symbol(len(t.names))
 	t.names = append(t.names, name)
+	t.plain = append(t.plain, jsonPlain(name))
 	t.byName[name] = s
 	return s
+}
+
+// jsonPlain reports whether encoding/json, HTML escaping on, writes name
+// inside a string unchanged: every byte is ASCII, and none is a control
+// byte, a quote, a backslash, '<', '>' or '&'.
+func jsonPlain(name string) bool {
+	for i := 0; i < len(name); i++ {
+		switch c := name[i]; {
+		case c < 0x20 || c >= 0x80, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			return false
+		}
+	}
+	return true
 }
 
 // Clone returns an independent copy with the same symbols: interning into
@@ -53,7 +68,7 @@ func (t *Table) Intern(name string) Symbol {
 // it only when an edit brings a name it lacks (copy on extend), so a
 // table, once published with a store, is never mutated.
 func (t *Table) Clone() *Table {
-	return &Table{byName: maps.Clone(t.byName), names: slices.Clone(t.names)}
+	return &Table{byName: maps.Clone(t.byName), names: slices.Clone(t.names), plain: slices.Clone(t.plain)}
 }
 
 // Lookup returns the symbol for name, or None if it was never interned.
@@ -66,6 +81,11 @@ func (t *Table) Lookup(name string) Symbol {
 
 // Name returns the name for a symbol. It panics on out-of-range symbols.
 func (t *Table) Name(s Symbol) string { return t.names[s] }
+
+// JSONPlain reports whether the name of s needs no escaping inside a
+// JSON string: Intern checks each name once, so a serializer need not
+// check every occurrence. It panics on out-of-range symbols.
+func (t *Table) JSONPlain(s Symbol) bool { return t.plain[s] }
 
 // Len reports the number of interned names including the root symbol.
 func (t *Table) Len() int { return len(t.names) }

@@ -83,3 +83,24 @@ func TestCloneIsIndependent(t *testing.T) {
 		t.Fatal("interning into the clone changed the original")
 	}
 }
+
+// TestJSONPlainFlags: Intern records whether each name needs JSON
+// escaping, and Clone copies the flags.
+func TestJSONPlainFlags(t *testing.T) {
+	v := New()
+	plain, quoted := v.Intern("book"), v.Intern(`a"b`)
+	c := v.Clone()
+	lineSep := c.Intern("x\u2028")
+	for _, tc := range []struct {
+		t    *Table
+		s    Symbol
+		want bool
+	}{
+		{v, Root, true}, {v, plain, true}, {v, quoted, false},
+		{c, plain, true}, {c, quoted, false}, {c, lineSep, false},
+	} {
+		if got := tc.t.JSONPlain(tc.s); got != tc.want {
+			t.Errorf("JSONPlain(%q) = %v, want %v", tc.t.Name(tc.s), got, tc.want)
+		}
+	}
+}
