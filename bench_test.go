@@ -17,6 +17,8 @@ import (
 	"xqp/internal/core"
 	"xqp/internal/exec"
 	"xqp/internal/experiments"
+	"xqp/internal/join"
+	"xqp/internal/nok"
 	"xqp/internal/parser"
 	"xqp/internal/pattern"
 	"xqp/internal/storage"
@@ -51,7 +53,7 @@ func BenchmarkT1Operators(b *testing.B) {
 	})
 	b.Run("⋈s-structural-join", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.StructuralJoin(books, lasts, pattern.RelDescendant); err != nil {
+			if _, err := join.StructuralJoin(books, lasts, pattern.RelDescendant); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -72,9 +74,9 @@ func BenchmarkT1Operators(b *testing.B) {
 		}
 	})
 	b.Run("τ-tree-pattern-match", func(b *testing.B) {
-		g := experiments.MustGraph("//book[price]/author/last")
+		g := core.MustPattern("//book[price]/author/last")
 		for i := 0; i < b.N; i++ {
-			if _, err := core.TPM(st, g, []storage.NodeRef{st.Root()}); err != nil {
+			if _, err := nok.MatchNested(st, g, []storage.NodeRef{st.Root()}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -117,7 +119,7 @@ func BenchmarkE1StorageSize(b *testing.B) {
 func BenchmarkE2Scaling(b *testing.B) {
 	for _, scale := range []int{1, 4, 16} {
 		st := xmark.StoreAuction(scale)
-		g := experiments.MustGraph("/site/regions/*/item/name")
+		g := core.MustPattern("/site/regions/*/item/name")
 		b.Run(fmt.Sprintf("scale-%d/nok", scale), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				experiments.MatchNoK(st, g)
@@ -145,7 +147,7 @@ func BenchmarkE2Scaling(b *testing.B) {
 func BenchmarkE3PathLength(b *testing.B) {
 	st := xmark.StoreDeep(400, 9)
 	for _, k := range []int{2, 4, 7} {
-		g := experiments.MustGraph("/doc" + strings.Repeat("/section", k))
+		g := core.MustPattern("/doc" + strings.Repeat("/section", k))
 		b.Run(fmt.Sprintf("steps-%d/nok", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				experiments.MatchNoK(st, g)
@@ -168,7 +170,7 @@ func BenchmarkE3PathLength(b *testing.B) {
 func BenchmarkE4Selectivity(b *testing.B) {
 	st := xmark.StoreAuction(6)
 	for _, q := range []string{"//profile/interest", "//listitem/text", "/site/*/*"} {
-		g := experiments.MustGraph(q)
+		g := core.MustPattern(q)
 		name := strings.NewReplacer("/", "_", "*", "any").Replace(q)
 		b.Run(name+"/nok", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -188,7 +190,7 @@ func BenchmarkE5Twig(b *testing.B) {
 	st := xmark.StoreAuction(6)
 	preds := []string{"[location]", "[quantity]", "[payment]", "[incategory]"}
 	for _, k := range []int{0, 2, 4} {
-		g := experiments.MustGraph("//item" + strings.Join(preds[:k], "") + "/name")
+		g := core.MustPattern("//item" + strings.Join(preds[:k], "") + "/name")
 		b.Run(fmt.Sprintf("branches-%d/nok", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				experiments.MatchNoK(st, g)
@@ -289,7 +291,7 @@ func BenchmarkE9PageTouches(b *testing.B) {
 	st.SetPageSize(4096)
 	defer st.SetAccountant(nil)
 	for _, q := range []string{"//profile/interest", "/site/*/*"} {
-		g := experiments.MustGraph(q)
+		g := core.MustPattern(q)
 		name := strings.NewReplacer("/", "_", "*", "any").Replace(q)
 		b.Run(name+"/nok", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -386,7 +388,7 @@ func BenchmarkE12ContentIndex(b *testing.B) {
 func BenchmarkE13Hybrid(b *testing.B) {
 	st := xmark.StoreAuction(6)
 	for _, q := range []string{"//item//text", "//open_auction[bidder]//increase"} {
-		g := experiments.MustGraph(q)
+		g := core.MustPattern(q)
 		name := strings.NewReplacer("/", "_", "[", "(", "]", ")").Replace(q)
 		b.Run(name+"/nok", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -611,6 +613,39 @@ func BenchmarkApply(b *testing.B) {
 					{Op: xqp.MutationDelete, Path: auction + "/bidder"},
 				}
 				if _, err := eng.Apply("auction", muts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkPredicates runs step-predicate forms at Auction(16), each
+// compiled once through the facade, beside their FLWOR twins and the
+// predicate-free //item/name. A predicate the pattern builder cannot
+// capture keeps its step a πs step, evaluated once per candidate; its
+// own relative paths fuse into per-candidate τ dispatches.
+func BenchmarkPredicates(b *testing.B) {
+	db := xqp.FromStore(xmark.StoreAuction(16))
+	for _, q := range []struct{ name, src string }{
+		{"plain", `//item/name`},
+		{"exists-not", `//item[payment][not(shipping)]/name`},
+		{"exists-not-flwor", `for $i in //item where $i/payment and not($i/shipping) return $i/name`},
+		{"not-desc", `//item[not(.//keyword)]/name`},
+		{"not-desc-flwor", `for $i in //item where not($i//keyword) return $i/name`},
+		{"contains-desc", `//item[contains(description//text, "a")]/name`},
+		{"contains-desc-flwor", `for $i in //item where contains($i/description//text, "a") return $i/name`},
+		{"count-pred", `//open_auction[count(bidder) > 3]/current`},
+		{"count-pred-flwor", `for $a in //open_auction where count($a/bidder) > 3 return $a/current`},
+	} {
+		cq, err := db.Compile(q.src, xqp.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(q.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := db.Run(cq); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -12,25 +12,11 @@ import (
 	"time"
 
 	"xqp"
-	"xqp/internal/ast"
-	"xqp/internal/parser"
-	"xqp/internal/pattern"
+	"xqp/internal/core"
 	"xqp/internal/storage"
 	"xqp/internal/stream"
 	"xqp/internal/xmark"
 )
-
-func experimentsGraph(src string) *pattern.Graph {
-	e, err := parser.Parse(src)
-	if err != nil {
-		log.Fatal(err)
-	}
-	g, err := pattern.FromPath(e.(*ast.PathExpr))
-	if err != nil {
-		log.Fatal(err)
-	}
-	return g
-}
 
 func main() {
 	// Serialize a corpus, then stream it back in as a byte stream.
@@ -55,7 +41,7 @@ func main() {
 		st.NodeCount(), float64(structure)/1024, float64(tags)/1024, float64(content)/1024)
 
 	// A path query answered during the stream itself — no store at all.
-	g := experimentsGraph(`/site/people/person/name`)
+	g := core.MustPattern(`/site/people/person/name`)
 	start = time.Now()
 	matches := 0
 	if _, err := stream.Eval(strings.NewReader(xml.String()), g, func(m stream.Match) {

@@ -83,6 +83,10 @@ func Analyze(plan core.Op, opts Options) *Result {
 type analyzer struct {
 	opts Options
 	res  *Result
+	// ctx annotates the context item while a step predicate is visited
+	// (inPred).
+	ctx    Annotation
+	inPred bool
 }
 
 func (a *analyzer) diag(code string, sev Severity, span, format string, args ...any) {
@@ -131,16 +135,6 @@ func (s *scope) defined(name string) bool {
 	return false
 }
 
-// use marks every free variable of a predicate AST as used.
-func (s *scope) use(e ast.Expr) {
-	if s == nil {
-		return
-	}
-	for _, name := range ast.FreeVars(e) {
-		s.lookup(name)
-	}
-}
-
 // finish records the annotation and applies the generic pruning rule:
 // a provably-empty pure subplan becomes the empty-sequence constant.
 func (a *analyzer) finish(op core.Op, ann Annotation) (core.Op, Annotation) {
@@ -167,6 +161,9 @@ func (a *analyzer) visit(op core.Op, sc *scope) (core.Op, Annotation) {
 		// Unbound at analysis time: the executor will raise; never prune.
 		return a.finish(o, Annotation{Kind: KindAny, Card: CardMany})
 	case *core.ContextOp:
+		if a.inPred {
+			return a.finish(o, a.ctx)
+		}
 		// The top-level context item is undefined in this engine; keep
 		// context-dependent subplans impure so pruning preserves the
 		// runtime error.
@@ -255,14 +252,21 @@ func (a *analyzer) isBoundDoc(uri string) bool {
 func (a *analyzer) visitCompare(o *core.CompareOp, sc *scope) (core.Op, Annotation) {
 	nl, la := a.visit(o.L, sc)
 	nr, ra := a.visit(o.R, sc)
-	n := &core.CompareOp{Op: o.Op, L: nl, R: nr}
+	n := o
+	if nl != o.L || nr != o.R {
+		n = &core.CompareOp{Op: o.Op, L: nl, R: nr}
+	}
 	// A numeric expression compared against a non-numeric string literal
 	// goes through NaN and is decided by types alone (const-const pairs
 	// are left to the rewriter's constant folding).
-	if lit, ok := nonNumericStringLit(nr); ok && la.Kind == KindNumber && !isConst(nl) {
-		a.diagCmpType(o, lit)
-	} else if lit, ok := nonNumericStringLit(nl); ok && ra.Kind == KindNumber && !isConst(nr) {
-		a.diagCmpType(o, lit)
+	if la.Kind == KindNumber && !isConst(nl) {
+		if lit, ok := nonNumericStringLit(nr); ok {
+			a.diagCmpType(o, lit)
+		}
+	} else if ra.Kind == KindNumber && !isConst(nr) {
+		if lit, ok := nonNumericStringLit(nl); ok {
+			a.diagCmpType(o, lit)
+		}
 	}
 	return a.finish(n, Annotation{Kind: KindBool, Card: CardOne, Pure: la.Pure && ra.Pure})
 }
@@ -443,26 +447,53 @@ func (a *analyzer) visitFLWOR(o *core.FLWOROp, sc *scope) (core.Op, Annotation) 
 
 func (a *analyzer) visitPath(o *core.PathOp, sc *scope) (core.Op, Annotation) {
 	nin, ia := a.visit(o.Input, sc)
-	predsPure := true
-	for _, st := range o.Path.Steps {
-		for _, p := range st.Preds {
-			sc.use(p) // predicates reference FLWOR variables
-			predsPure = predsPure && PureExpr(p)
+	ann := Annotation{Kind: KindNode, Card: CardMany, Pure: ia.Pure, FromDoc: ia.FromDoc}
+	steps := o.Steps // copied on the first predicate the visit replaces
+	copied := false
+	outer, outerIn := a.ctx, a.inPred
+	for i, st := range o.Steps {
+		if len(st.Preds) == 0 {
+			continue
+		}
+		// Inside a predicate the context item is the candidate: one node,
+		// or any item for a filter step (E[p]) over a mixed sequence. It
+		// is not known to lie on a synopsis path (FromDoc false), so no
+		// synopsis pruning happens inside predicates.
+		a.ctx, a.inPred = Annotation{Kind: KindNode, Card: CardOne, Pure: true}, true
+		if st.Axis == ast.AxisSelf && st.Test.Kind == ast.TestNode {
+			a.ctx.Kind = KindAny
+		}
+		for j, p := range st.Preds {
+			np, pa := a.visit(p, sc)
+			ann.Pure = ann.Pure && pa.Pure
+			if np == p {
+				continue
+			}
+			if !copied {
+				steps, copied = append([]core.Step(nil), o.Steps...), true
+			}
+			if &steps[i].Preds[0] == &st.Preds[0] {
+				steps[i].Preds = append([]core.Op(nil), st.Preds...)
+			}
+			steps[i].Preds[j] = np
 		}
 	}
-	n := &core.PathOp{Input: nin, Path: o.Path}
-	ann := Annotation{Kind: KindNode, Card: CardMany, Pure: ia.Pure && predsPure, FromDoc: ia.FromDoc}
+	a.ctx, a.inPred = outer, outerIn
+	n := o // an unchanged path is kept, not copied
+	if nin != o.Input || copied {
+		n = &core.PathOp{Input: nin, Rooted: o.Rooted, Steps: steps}
+	}
 	if ia.Card == CardEmpty {
 		ann.Card = CardEmpty
 		return a.finish(n, ann)
 	}
-	if reason, empty := emptySteps(o.Path.Steps); empty {
-		a.diag(CodeEmptyAxis, Warning, o.Path.String(), "path can never match: %s", reason)
+	if reason, empty := emptySteps(o.Steps); empty {
+		a.diag(CodeEmptyAxis, Warning, o.PathString(), "path can never match: %s", reason)
 		ann.Card = CardEmpty
 		return a.finish(n, ann)
 	}
-	if a.unmatchablePath(o.Path, nin, ia) {
-		a.diag(CodeEmptyPath, Warning, o.Path.String(),
+	if a.unmatchablePath(o, nin, ia) {
+		a.diag(CodeEmptyPath, Warning, o.PathString(),
 			"path matches no node of the document (path synopsis)")
 		ann.Card = CardEmpty
 	}
@@ -471,12 +502,12 @@ func (a *analyzer) visitPath(o *core.PathOp, sc *scope) (core.Op, Annotation) {
 
 // unmatchablePath checks a πs-chain against the synopsis: the path must be
 // pattern-expressible and anchored at (or known to navigate within) the
-// bound document.
-func (a *analyzer) unmatchablePath(pe *ast.PathExpr, input core.Op, ia Annotation) bool {
+// bound document. The pattern is built from the steps as translated.
+func (a *analyzer) unmatchablePath(o *core.PathOp, input core.Op, ia Annotation) bool {
 	if a.opts.Synopsis == nil || a.opts.Store == nil || !ia.FromDoc {
 		return false
 	}
-	g, err := pattern.FromPath(pe)
+	g, err := core.BuildPattern(o.Rooted, o.Steps)
 	if err != nil {
 		return false // not expressible; the step executor handles it
 	}
@@ -485,7 +516,6 @@ func (a *analyzer) unmatchablePath(pe *ast.PathExpr, input core.Op, ia Annotatio
 		// anchors at the root; other inputs anchor at arbitrary document
 		// nodes and need the anchored-anywhere check.
 		if _, isDoc := input.(*core.DocOp); isDoc {
-			g = g.Clone()
 			g.Rooted = true
 		}
 	}
@@ -563,7 +593,7 @@ func (a *analyzer) visitConstruct(o *core.ConstructOp, sc *scope) (core.Op, Anno
 // sequence: attributes, text nodes, comments and processing instructions
 // have no children and no attributes, so downward navigation below them is
 // statically empty.
-func emptySteps(steps []ast.Step) (string, bool) {
+func emptySteps(steps []core.Step) (string, bool) {
 	leaf := false
 	leafWhat := ""
 	for _, st := range steps {
@@ -572,7 +602,7 @@ func emptySteps(steps []ast.Step) (string, bool) {
 		}
 		downward := st.Axis == ast.AxisChild || st.Axis == ast.AxisDescendant || st.Axis == ast.AxisAttribute
 		if leaf && downward {
-			return fmt.Sprintf("step %s navigates below %s nodes, which have no children or attributes", st, leafWhat), true
+			return fmt.Sprintf("step %s navigates below %s nodes, which have no children or attributes", st.Src, leafWhat), true
 		}
 		if st.Axis == ast.AxisSelf {
 			continue // self keeps the current node kind

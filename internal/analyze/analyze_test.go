@@ -7,7 +7,6 @@ import (
 	"xqp/internal/core"
 	"xqp/internal/exec"
 	"xqp/internal/parser"
-	"xqp/internal/pattern"
 	"xqp/internal/stats"
 	"xqp/internal/storage"
 	"xqp/internal/value"
@@ -272,7 +271,7 @@ func TestAnnotateGraphs(t *testing.T) {
 	if !ok {
 		t.Fatalf("plan is %T", p)
 	}
-	g, err := pattern.FromPath(po.Path)
+	g, err := core.BuildPattern(po.Rooted, po.Steps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,4 +350,31 @@ func TestEmptyConstEvaluates(t *testing.T) {
 		t.Fatalf("pruned plan returned %v", seq)
 	}
 	_ = value.Sequence(nil)
+}
+
+// TestPredicatesAnalyzed: step predicates are subplans the analyzer
+// visits with the context item typed as one node. Each gets a static
+// type, structural emptiness inside one is diagnosed and pruned, and a
+// variable read only inside a predicate counts as used; the synopsis is
+// not consulted there (the candidate is not known to lie on a path).
+func TestPredicatesAnalyzed(t *testing.T) {
+	st, syn := load(t)
+	opts := Options{Store: st, Synopsis: syn, Prune: true}
+	r := Analyze(plan(t, `/bib/book[count(author) > 1][@year/x]`), opts)
+	path := r.Plan.(*core.PathOp)
+	preds := path.Steps[1].Preds
+	if ann, ok := r.AnnotationOf(preds[0]); !ok || ann.Kind != KindBool || ann.Card != CardOne {
+		t.Errorf("count(author) > 1: annotation %+v (found %v), want boolean one", ann, ok)
+	}
+	if c, ok := preds[1].(*core.ConstOp); !ok || len(c.Seq) != 0 || !hasCode(r, CodeEmptyAxis) {
+		t.Errorf("@year/x not pruned with XQA001: %v\n%s", codes(r), core.Explain(r.Plan))
+	}
+	r = Analyze(plan(t, `for $m in (1, 2) return /bib/book[price > $m]`), opts)
+	if hasCode(r, CodeUnusedVar) {
+		t.Errorf("variable read in a predicate reported unused: %v", codes(r))
+	}
+	r = Analyze(plan(t, `/bib/book[not(nosuch)]`), opts)
+	if len(r.Diagnostics) != 0 || r.Pruned != 0 {
+		t.Errorf("synopsis applied inside a predicate: %v, pruned %d", codes(r), r.Pruned)
+	}
 }

@@ -11,7 +11,6 @@ import (
 	"xqp/internal/core"
 	"xqp/internal/cost"
 	"xqp/internal/parser"
-	"xqp/internal/pattern"
 )
 
 // TestImpurePropagation: an error()-style call anywhere in the subtree
@@ -55,9 +54,11 @@ func TestImpurePropagation(t *testing.T) {
 	}
 }
 
-// TestPureExpr covers the AST-level purity check used for step
-// predicates, including the doc()/document() special case (they
-// translate to DocOp, not to an unknown-function call).
+// TestPureExpr covers purity inside step predicates, which are ordinary
+// subplans of their πs-chain: the plan walk and the analyzer's
+// annotation both see them, including the doc()/document() special case
+// (they translate to DocOp, not to an unknown-function call). An unknown
+// function fails to translate, so it never reaches the check.
 func TestPureExpr(t *testing.T) {
 	cases := []struct {
 		expr string
@@ -68,16 +69,23 @@ func TestPureExpr(t *testing.T) {
 		{`document("bib.xml")//book`, true},
 		{`error("boom")`, false},
 		{`count(error("boom"))`, false},
-		{`mystery-function(1)`, false},
 	}
 	for _, tc := range cases {
-		e, err := parser.Parse(tc.expr)
-		if err != nil {
-			t.Fatalf("%q: %v", tc.expr, err)
+		p := plan(t, "/bib/book["+tc.expr+"]")
+		if got := Pure(p); got != tc.pure {
+			t.Errorf("Pure(/bib/book[%s]) = %v, want %v", tc.expr, got, tc.pure)
 		}
-		if got := PureExpr(e); got != tc.pure {
-			t.Errorf("PureExpr(%q) = %v, want %v", tc.expr, got, tc.pure)
+		r := Analyze(p, Options{})
+		if ann, _ := r.AnnotationOf(r.Plan); ann.Pure != tc.pure {
+			t.Errorf("/bib/book[%s]: annotated Pure = %v, want %v", tc.expr, ann.Pure, tc.pure)
 		}
+	}
+	e, err := parser.Parse(`/bib/book[mystery-function(1)]`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.Translate(e); err == nil {
+		t.Error("unknown function in a predicate translated")
 	}
 }
 
@@ -91,7 +99,7 @@ func TestEstCardRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatalf("plan is %T", p)
 	}
-	g, err := pattern.FromPath(po.Path)
+	g, err := core.BuildPattern(po.Rooted, po.Steps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +127,7 @@ func TestEstCardRoundTrip(t *testing.T) {
 	}
 
 	// Unannotated graphs fall back to the synopsis walk.
-	fresh, err := pattern.FromPath(po.Path)
+	fresh, err := core.BuildPattern(po.Rooted, po.Steps)
 	if err != nil {
 		t.Fatal(err)
 	}

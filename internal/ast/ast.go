@@ -119,35 +119,33 @@ type Step struct {
 }
 
 func (s Step) String() string {
-	var b strings.Builder
-	switch s.Axis {
-	case AxisChild:
-		// default axis: no prefix
-	case AxisAttribute:
-		b.WriteString("@")
-	case AxisSelf:
-		if s.Test.Kind == TestNode {
-			return "." + predString(s.Preds)
-		}
-		b.WriteString("self::")
-	case AxisParent:
-		if s.Test.Kind == TestNode {
-			return ".." + predString(s.Preds)
-		}
-		b.WriteString("parent::")
+	var head string
+	switch {
+	case s.Axis == AxisChild:
+		head = s.Test.String()
+	case s.Axis == AxisAttribute:
+		head = "@" + s.Test.String()
+	case s.Axis == AxisSelf && s.Test.Kind == TestNode:
+		head = "."
+	case s.Axis == AxisParent && s.Test.Kind == TestNode:
+		head = ".."
+	case s.Axis == AxisDescendantOrSelf && s.Test.Kind == TestNode:
+		head = "descendant-or-self::node()"
 	default:
-		b.WriteString(s.Axis.String())
-		b.WriteString("::")
+		head = s.Axis.String() + "::" + s.Test.String()
 	}
-	b.WriteString(s.Test.String())
-	b.WriteString(predString(s.Preds))
-	return b.String()
-}
-
-func predString(preds []Expr) string {
+	switch len(s.Preds) {
+	case 0:
+		return head
+	case 1:
+		return head + "[" + s.Preds[0].String() + "]"
+	}
 	var b strings.Builder
-	for _, p := range preds {
-		fmt.Fprintf(&b, "[%s]", p)
+	b.WriteString(head)
+	for _, p := range s.Preds {
+		b.WriteByte('[')
+		b.WriteString(p.String())
+		b.WriteByte(']')
 	}
 	return b.String()
 }
@@ -163,6 +161,9 @@ type PathExpr struct {
 func (p *PathExpr) exprNode() {}
 
 func (p *PathExpr) String() string {
+	if p.Base == nil && !p.Rooted && len(p.Steps) == 1 {
+		return p.Steps[0].String()
+	}
 	var b strings.Builder
 	if p.Base != nil {
 		b.WriteString(p.Base.String())
@@ -172,17 +173,7 @@ func (p *PathExpr) String() string {
 	}
 	for i, s := range p.Steps {
 		if i > 0 || p.Base != nil && !p.Rooted {
-			if i > 0 {
-				b.WriteString("/")
-			} else {
-				b.WriteString("/")
-			}
-		}
-		if s.Axis == AxisDescendantOrSelf && s.Test.Kind == TestNode && len(s.Preds) == 0 {
-			// Printed as the // abbreviation together with the next step;
-			// keep explicit form for clarity instead.
-			b.WriteString("descendant-or-self::node()")
-			continue
+			b.WriteByte('/')
 		}
 		b.WriteString(s.String())
 	}
@@ -326,7 +317,7 @@ type Binary struct {
 
 func (*Binary) exprNode() {}
 func (b *Binary) String() string {
-	return fmt.Sprintf("(%s %s %s)", b.L, b.Op, b.R)
+	return "(" + b.L.String() + " " + b.Op.String() + " " + b.R.String() + ")"
 }
 
 // Unary is unary minus (or plus, normalized away).
@@ -567,160 +558,4 @@ func (c *ComputedCtor) String() string {
 		return fmt.Sprintf("text { %s }", body)
 	}
 	return fmt.Sprintf("%s %s { %s }", c.Kind, c.Name, body)
-}
-
-// Walk calls f for e and every sub-expression, pre-order. Returning false
-// prunes descent below e.
-func Walk(e Expr, f func(Expr) bool) {
-	if e == nil || !f(e) {
-		return
-	}
-	switch x := e.(type) {
-	case *PathExpr:
-		Walk(x.Base, f)
-		for _, s := range x.Steps {
-			for _, p := range s.Preds {
-				Walk(p, f)
-			}
-		}
-	case *SequenceExpr:
-		for _, it := range x.Items {
-			Walk(it, f)
-		}
-	case *Binary:
-		Walk(x.L, f)
-		Walk(x.R, f)
-	case *Unary:
-		Walk(x.X, f)
-	case *FuncCall:
-		for _, a := range x.Args {
-			Walk(a, f)
-		}
-	case *If:
-		Walk(x.Cond, f)
-		Walk(x.Then, f)
-		Walk(x.Else, f)
-	case *Quantified:
-		for _, b := range x.Bindings {
-			Walk(b.In, f)
-		}
-		Walk(x.Satisfies, f)
-	case *FLWOR:
-		for _, c := range x.Clauses {
-			Walk(c.Expr, f)
-		}
-		Walk(x.Where, f)
-		for _, o := range x.OrderBy {
-			Walk(o.Key, f)
-		}
-		Walk(x.Return, f)
-	case *ElementCtor:
-		for _, a := range x.Attrs {
-			for _, p := range a.Parts {
-				Walk(p.Expr, f)
-			}
-		}
-		for _, c := range x.Content {
-			if c.Expr != nil {
-				Walk(c.Expr, f)
-			}
-			if c.Child != nil {
-				Walk(c.Child, f)
-			}
-		}
-	case *ComputedCtor:
-		Walk(x.Content, f)
-	}
-}
-
-// FreeVars returns the names of variables that occur free in e, in first-
-// occurrence order.
-func FreeVars(e Expr) []string {
-	var out []string
-	seen := map[string]bool{}
-	var visit func(e Expr, bound map[string]bool)
-	visit = func(e Expr, bound map[string]bool) {
-		switch x := e.(type) {
-		case nil:
-			return
-		case *VarRef:
-			if !bound[x.Name] && !seen[x.Name] {
-				seen[x.Name] = true
-				out = append(out, x.Name)
-			}
-		case *FLWOR:
-			b2 := copyBound(bound)
-			for _, c := range x.Clauses {
-				visit(c.Expr, b2)
-				b2[c.Var] = true
-				if c.PosVar != "" {
-					b2[c.PosVar] = true
-				}
-			}
-			visit(x.Where, b2)
-			for _, o := range x.OrderBy {
-				visit(o.Key, b2)
-			}
-			visit(x.Return, b2)
-		case *Quantified:
-			b2 := copyBound(bound)
-			for _, qb := range x.Bindings {
-				visit(qb.In, b2)
-				b2[qb.Var] = true
-			}
-			visit(x.Satisfies, b2)
-		case *PathExpr:
-			visit(x.Base, bound)
-			for _, s := range x.Steps {
-				for _, p := range s.Preds {
-					visit(p, bound)
-				}
-			}
-		case *SequenceExpr:
-			for _, it := range x.Items {
-				visit(it, bound)
-			}
-		case *Binary:
-			visit(x.L, bound)
-			visit(x.R, bound)
-		case *Unary:
-			visit(x.X, bound)
-		case *FuncCall:
-			for _, a := range x.Args {
-				visit(a, bound)
-			}
-		case *If:
-			visit(x.Cond, bound)
-			visit(x.Then, bound)
-			visit(x.Else, bound)
-		case *ElementCtor:
-			for _, a := range x.Attrs {
-				for _, p := range a.Parts {
-					if p.Expr != nil {
-						visit(p.Expr, bound)
-					}
-				}
-			}
-			for _, c := range x.Content {
-				if c.Expr != nil {
-					visit(c.Expr, bound)
-				}
-				if c.Child != nil {
-					visit(c.Child, bound)
-				}
-			}
-		case *ComputedCtor:
-			visit(x.Content, bound)
-		}
-	}
-	visit(e, map[string]bool{})
-	return out
-}
-
-func copyBound(m map[string]bool) map[string]bool {
-	c := make(map[string]bool, len(m))
-	for k, v := range m {
-		c[k] = v
-	}
-	return c
 }

@@ -93,42 +93,6 @@ func TestExprStrings(t *testing.T) {
 	}
 }
 
-func TestWalkPrune(t *testing.T) {
-	e := &Binary{Op: OpAdd,
-		L: &Binary{Op: OpMul, L: &NumberLit{Val: 1}, R: &NumberLit{Val: 2}},
-		R: &NumberLit{Val: 3},
-	}
-	count := 0
-	Walk(e, func(x Expr) bool {
-		count++
-		_, isMul := x.(*Binary)
-		return !isMul || x == Expr(e) // prune below the inner Binary
-	})
-	if count != 3 { // e, L (pruned), R
-		t.Fatalf("walk visited %d, want 3", count)
-	}
-}
-
-func TestFreeVarsShadowing(t *testing.T) {
-	// $x bound by the FLWOR, $y free.
-	e := &FLWOR{
-		Clauses: []Clause{{Kind: ClauseFor, Var: "x", Expr: &VarRef{Name: "y"}}},
-		Return:  &VarRef{Name: "x"},
-	}
-	fv := FreeVars(e)
-	if len(fv) != 1 || fv[0] != "y" {
-		t.Fatalf("FreeVars = %v", fv)
-	}
-	// Positional variable binds too.
-	e2 := &FLWOR{
-		Clauses: []Clause{{Kind: ClauseFor, Var: "x", PosVar: "i", Expr: &EmptySeq{}}},
-		Return:  &VarRef{Name: "i"},
-	}
-	if len(FreeVars(e2)) != 0 {
-		t.Fatalf("pos var counted free: %v", FreeVars(e2))
-	}
-}
-
 func TestClauseAndOrderSpecString(t *testing.T) {
 	c := Clause{Kind: ClauseFor, Var: "x", PosVar: "i", Expr: &EmptySeq{}}
 	if c.String() != "for $x at $i in ()" {

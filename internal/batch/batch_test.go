@@ -5,8 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"xqp/internal/ast"
-	"xqp/internal/parser"
+	"xqp/internal/core"
 	"xqp/internal/pattern"
 	"xqp/internal/storage"
 	"xqp/internal/xmark"
@@ -14,11 +13,7 @@ import (
 
 func graphOf(t testing.TB, src string) *pattern.Graph {
 	t.Helper()
-	e, err := parser.Parse(src)
-	if err != nil {
-		t.Fatalf("parse %q: %v", src, err)
-	}
-	g, err := pattern.FromPath(e.(*ast.PathExpr))
+	g, err := core.PatternOf(src)
 	if err != nil {
 		t.Fatalf("pattern %q: %v", src, err)
 	}

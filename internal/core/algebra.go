@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"xqp/internal/ast"
-	"xqp/internal/join"
-	"xqp/internal/nok"
 	"xqp/internal/pattern"
 	"xqp/internal/storage"
 	"xqp/internal/value"
@@ -16,11 +14,11 @@ import (
 // runtime sorts, matching the paper's signatures:
 //
 //	σs : List → List                       SelectTag
-//	⋈s : List × List → List               StructuralJoin
+//	⋈s : List × List → List               join.StructuralJoin
 //	πs : List → NestedList                 Navigate / NavigateStep
 //	σv : List → List                       SelectValue
 //	⋈v : List × List → List               ValueJoin
-//	τ  : Tree × PatternGraph → NestedList  TPM
+//	τ  : Tree × PatternGraph → NestedList  nok.MatchNested
 //	γ  : NestedList × SchemaTree → Tree    BuildTree
 
 // SelectTag is σs: keep the node items whose tag name is name.
@@ -51,78 +49,6 @@ func SelectValue(list value.Sequence, op value.CmpOp, lit value.Item) value.Sequ
 	return out
 }
 
-// StructuralJoin is ⋈s: return the nodes of descs that stand in the given
-// structural relation to some node of ancs, in document order. Both lists
-// must contain nodes of the same store.
-func StructuralJoin(ancs, descs value.Sequence, rel pattern.Rel) (value.Sequence, error) {
-	aStream, st, err := streamOf(ancs)
-	if err != nil {
-		return nil, err
-	}
-	dStream, st2, err := streamOf(descs)
-	if err != nil {
-		return nil, err
-	}
-	if st == nil || st2 == nil {
-		return nil, nil
-	}
-	if st != st2 {
-		return nil, &value.TypeError{Msg: "structural join across documents"}
-	}
-	out := join.StackTreeDescendants(aStream, dStream, rel)
-	res := make(value.Sequence, len(out))
-	for i, e := range out {
-		res[i] = value.Node{Store: st, Ref: e.Ref}
-	}
-	return res, nil
-}
-
-// StructuralSemiJoin returns the nodes of ancs that have at least one
-// node of descs below them in the given relation (existence predicates).
-func StructuralSemiJoin(ancs, descs value.Sequence, rel pattern.Rel) (value.Sequence, error) {
-	aStream, st, err := streamOf(ancs)
-	if err != nil {
-		return nil, err
-	}
-	dStream, st2, err := streamOf(descs)
-	if err != nil {
-		return nil, err
-	}
-	if st == nil || st2 == nil {
-		return nil, nil
-	}
-	if st != st2 {
-		return nil, &value.TypeError{Msg: "structural join across documents"}
-	}
-	out := join.StackTreeAncestors(aStream, dStream, rel)
-	res := make(value.Sequence, len(out))
-	for i, e := range out {
-		res[i] = value.Node{Store: st, Ref: e.Ref}
-	}
-	return res, nil
-}
-
-func streamOf(list value.Sequence) (join.Stream, *storage.Store, error) {
-	var st *storage.Store
-	var refs []storage.NodeRef
-	for _, it := range list {
-		n, ok := it.(value.Node)
-		if !ok {
-			return nil, nil, &value.TypeError{Msg: fmt.Sprintf("structural join over %s item", value.ItemKind(it))}
-		}
-		if st == nil {
-			st = n.Store
-		} else if st != n.Store {
-			return nil, nil, &value.TypeError{Msg: "structural join across documents"}
-		}
-		refs = append(refs, n.Ref)
-	}
-	if st == nil {
-		return nil, nil, nil
-	}
-	return join.ContextStream(st, refs), st, nil
-}
-
 // ValueJoin is ⋈v: return the items of l whose atomized value compares
 // successfully with some item of r (a value-based semi-join, the form the
 // plans use).
@@ -138,12 +64,6 @@ func ValueJoin(l, r value.Sequence, op value.CmpOp) (value.Sequence, error) {
 		}
 	}
 	return out, nil
-}
-
-// TPM is τ: match the pattern graph against the document tree and return
-// the output matches nested by their structural relationships.
-func TPM(st *storage.Store, g *pattern.Graph, contexts []storage.NodeRef) (value.NestedList, error) {
-	return nok.MatchNested(st, g, contexts)
 }
 
 // NavigateStep is πs for one location step (axis + node test, without

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"xqp/internal/ast"
+	"xqp/internal/join"
+	"xqp/internal/nok"
 	"xqp/internal/parser"
 	"xqp/internal/pattern"
 	"xqp/internal/storage"
@@ -52,19 +54,19 @@ func TestStructuralJoinOps(t *testing.T) {
 	st := storage.MustLoad(bibXML)
 	books := nodesOf(st, st.ElementRefs("book"))
 	lasts := nodesOf(st, st.ElementRefs("last"))
-	got, err := StructuralJoin(books, lasts, pattern.RelDescendant)
+	got, err := join.StructuralJoin(books, lasts, pattern.RelDescendant)
 	if err != nil || len(got) != 3 {
 		t.Fatalf("⋈s desc = %v (%v)", got, err)
 	}
-	semi, err := StructuralSemiJoin(books, lasts, pattern.RelDescendant)
+	semi, err := join.StructuralSemiJoin(books, lasts, pattern.RelDescendant)
 	if err != nil || len(semi) != 2 {
 		t.Fatalf("semi ⋈s = %v (%v)", semi, err)
 	}
-	if _, err := StructuralJoin(value.Sequence{value.Int(1)}, lasts, pattern.RelChild); err == nil {
+	if _, err := join.StructuralJoin(value.Sequence{value.Int(1)}, lasts, pattern.RelChild); err == nil {
 		t.Fatal("⋈s over atomics did not error")
 	}
 	// Empty inputs are fine.
-	if got, err := StructuralJoin(nil, lasts, pattern.RelChild); err != nil || got != nil {
+	if got, err := join.StructuralJoin(nil, lasts, pattern.RelChild); err != nil || got != nil {
 		t.Fatalf("empty join = %v (%v)", got, err)
 	}
 }
@@ -80,12 +82,11 @@ func TestValueJoin(t *testing.T) {
 
 func TestTPMOperator(t *testing.T) {
 	st := storage.MustLoad(bibXML)
-	e := parser.MustParse("//book[price]/author")
-	g, err := pattern.FromPath(e.(*ast.PathExpr))
+	g, err := PatternOf("//book[price]/author")
 	if err != nil {
 		t.Fatal(err)
 	}
-	nl, err := TPM(st, g, []storage.NodeRef{st.Root()})
+	nl, err := nok.MatchNested(st, g, []storage.NodeRef{st.Root()})
 	if err != nil {
 		t.Fatal(err)
 	}

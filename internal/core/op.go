@@ -15,7 +15,10 @@
 // into (translate.go) and that the rewriter (package rewrite) and the
 // physical executor (package exec) consume. τ operators sit at the bottom
 // of plans, γ at the top, with list-transforming operators in between,
-// exactly as Section 3.2 prescribes.
+// exactly as Section 3.2 prescribes. Step predicates (σv/σs filters) are
+// plans too, children of their πs-chain (PathOp); pattern.go is the one
+// builder that captures a chain's steps and predicate plans as a
+// PatternGraph for τ.
 package core
 
 import (
@@ -66,16 +69,53 @@ type DocOp struct{ URI string }
 func (o *DocOp) Children() []Op { return nil }
 func (o *DocOp) Label() string  { return fmt.Sprintf("doc(%q)", o.URI) }
 
-// PathOp evaluates a path expression step-by-step (a chain of πs/σs
-// operators) against its input. It is what the translator emits for every
-// path; the rewriter fuses eligible PathOps into TPMOps.
-type PathOp struct {
-	Input Op
-	Path  *ast.PathExpr
+// Step is one location step of a πs-chain: axis, node test, and its
+// predicates translated to plans (σv/σs filters evaluated with each
+// candidate node as the context item). Src is the step as written, kept
+// for labels and diagnostics only.
+type Step struct {
+	Axis  ast.Axis
+	Test  ast.NodeTest
+	Preds []Op
+	Src   string
 }
 
-func (o *PathOp) Children() []Op { return []Op{o.Input} }
-func (o *PathOp) Label() string  { return fmt.Sprintf("πs-chain %s", o.Path) }
+// PathOp evaluates a path expression step-by-step (a chain of πs/σs
+// operators) against its input. It is what the translator emits for every
+// path; the rewriter fuses eligible PathOps into TPMOps. Its children are
+// the input and every step's predicate plans, so plan walks, the analyzer
+// and EXPLAIN see inside predicates.
+type PathOp struct {
+	Input  Op
+	Rooted bool
+	Steps  []Step
+}
+
+func (o *PathOp) Children() []Op {
+	out := []Op{o.Input}
+	for _, st := range o.Steps {
+		out = append(out, st.Preds...)
+	}
+	return out
+}
+
+func (o *PathOp) Label() string { return "πs-chain " + o.PathString() }
+
+// PathString renders the steps as written, "/"-separated after a leading
+// "/" when rooted.
+func (o *PathOp) PathString() string {
+	var b strings.Builder
+	if o.Rooted {
+		b.WriteByte('/')
+	}
+	for i, st := range o.Steps {
+		if i > 0 {
+			b.WriteByte('/')
+		}
+		b.WriteString(st.Src)
+	}
+	return b.String()
+}
 
 // TPMOp is the τ operator: match a pattern graph against the input nodes
 // (the pattern anchor binds to each input node; for rooted graphs the

@@ -216,20 +216,19 @@ func translatePath(x *ast.PathExpr) (Op, error) {
 	if len(x.Steps) == 0 {
 		return input, nil
 	}
-	// Keep the step list (with its predicate ASTs) for the rewriter's
-	// pattern builder; the Base is replaced by the translated input.
-	path := &ast.PathExpr{Rooted: x.Rooted, Steps: x.Steps}
-	// The executor translates predicates only when it runs them, so each
-	// is translated once here and discarded: a predicate that cannot be
-	// translated fails to compile, not when (or if) it runs.
-	for _, step := range path.Steps {
-		for _, pred := range step.Preds {
-			if _, err := Translate(pred); err != nil {
+	op := &PathOp{Input: input, Rooted: x.Rooted, Steps: make([]Step, len(x.Steps))}
+	for i, st := range x.Steps {
+		step := Step{Axis: st.Axis, Test: st.Test, Src: st.String()}
+		for _, pred := range st.Preds {
+			p, err := Translate(pred)
+			if err != nil {
 				return nil, err
 			}
+			step.Preds = append(step.Preds, p)
 		}
+		op.Steps[i] = step
 	}
-	return &PathOp{Input: input, Path: path}, nil
+	return op, nil
 }
 
 func translateComputedCtor(x *ast.ComputedCtor) (Op, error) {

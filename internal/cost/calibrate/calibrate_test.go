@@ -4,21 +4,16 @@ import (
 	"testing"
 	"time"
 
-	"xqp/internal/ast"
+	"xqp/internal/core"
 	"xqp/internal/cost"
 	"xqp/internal/exec"
-	"xqp/internal/parser"
 	"xqp/internal/pattern"
 	"xqp/internal/tally"
 )
 
 func graphOf(t testing.TB, src string) *pattern.Graph {
 	t.Helper()
-	e, err := parser.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := pattern.FromPath(e.(*ast.PathExpr))
+	g, err := core.PatternOf(src)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -244,16 +244,20 @@ func (m *Model) Estimate(g *pattern.Graph) Estimate {
 
 // Choose picks the cheapest strategy the executor can actually run.
 // rootAnchored reports whether the τ context is exactly the document
-// root: the holistic join matchers only run there, so for any other
-// context only NoK and Hybrid compete — the model must never recommend
-// a plan the executor would silently replace.
+// root: the holistic join matchers only run there, so the model must
+// never recommend them elsewhere. Below the root the dispatch is NoK:
+// the estimates are whole-document figures, and while NoK's real cost
+// shrinks to the contexts' subtrees, Hybrid still probes the
+// whole-document postings, so comparing the two would be dishonest.
 func (m *Model) Choose(g *pattern.Graph, rootAnchored bool) exec.Strategy {
 	return chooseFrom(m.Estimate(g), g, rootAnchored)
 }
 
 func chooseFrom(e Estimate, g *pattern.Graph, rootAnchored bool) exec.Strategy {
 	switch {
-	case rootAnchored && e.Join <= e.NoK && e.Join <= e.Hybrid:
+	case !rootAnchored:
+		return exec.StrategyNoK
+	case e.Join <= e.NoK && e.Join <= e.Hybrid:
 		if g.IsPath() {
 			return exec.StrategyPathStack
 		}

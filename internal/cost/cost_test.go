@@ -3,9 +3,8 @@ package cost
 import (
 	"testing"
 
-	"xqp/internal/ast"
+	"xqp/internal/core"
 	"xqp/internal/exec"
-	"xqp/internal/parser"
 	"xqp/internal/pattern"
 	"xqp/internal/stats"
 	"xqp/internal/xmark"
@@ -13,11 +12,7 @@ import (
 
 func graphOf(t testing.TB, src string) *pattern.Graph {
 	t.Helper()
-	e, err := parser.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := pattern.FromPath(e.(*ast.PathExpr))
+	g, err := core.PatternOf(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,11 +150,34 @@ func TestBatchedVerdictPricesKernelScan(t *testing.T) {
 		rooted bool
 	}{
 		{Estimate{NoK: 1e9, Join: 1e8, Hybrid: 1e9}, true},
-		{Estimate{NoK: 1e9, Join: 1e9, Hybrid: 1e8}, false},
+		{Estimate{NoK: 1e9, Join: 1e9, Hybrid: 1e8}, true},
 	} {
 		ch := m.ChoiceFor(c.e, g, c.rooted, eff, slow)
 		if ch.Strategy == exec.StrategyNoK || ch.Batched {
 			t.Fatalf("%+v: %v batched=%v", c.e, ch.Strategy, ch.Batched)
+		}
+	}
+}
+
+// TestNonRootDispatchPicksNoK: below the document root the model picks
+// NoK whatever the estimates say. Hybrid would probe whole-document
+// postings for every context while NoK reads only the contexts'
+// subtrees, and the joins cannot run there at all.
+func TestNonRootDispatchPicksNoK(t *testing.T) {
+	m := NewModel(xmark.StoreAuction(2))
+	for _, src := range []string{"//item/name", "//open_auction[bidder]//increase", "description//text"} {
+		g := graphOf(t, src)
+		for _, e := range []Estimate{
+			{NoK: 1e9, Join: 1, Hybrid: 1},
+			{NoK: 1e9, Join: 1e9, Hybrid: 1},
+			{NoK: 1, Join: 1e9, Hybrid: 1e9},
+		} {
+			if ch := m.ChoiceFor(e, g, false, 1, nil); ch.Strategy != exec.StrategyNoK {
+				t.Errorf("%s %+v: non-root dispatch chose %v, want nok", src, e, ch.Strategy)
+			}
+		}
+		if s := m.Choose(g, false); s != exec.StrategyNoK {
+			t.Errorf("%s: Choose below the root = %v, want nok", src, s)
 		}
 	}
 }

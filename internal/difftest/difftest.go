@@ -164,6 +164,13 @@ func Queries(family string) []Query {
 			{"wildcard", `/bib/book/*`},
 			{"flwor-where", `for $b in /bib/book where $b/price > 60 return $b/title`},
 			{"flwor-ctor", `for $b in /bib/book return <e>{count($b/author)}</e>`},
+			{"pos-first", `/bib/book[1]/title`},
+			{"pos-last", `/bib/book[last()]/title`},
+			{"pred-var", `for $p in /bib/book[1]/price return /bib/book[price = $p]/title`},
+			{"dos-tail", `count(/bib/book/descendant-or-self::node())`},
+			{"dos-pred", `count(//book[author/descendant-or-self::node() = "Last1"])`},
+			{"dos-self-pred", `count(//book[author//self::node() = "Last1"])`},
+			{"dos-self-attr", `count(/bib/descendant-or-self::node()/self::node()[@year])`},
 		}
 	case "auction":
 		return []Query{
@@ -182,6 +189,11 @@ func Queries(family string) []Query {
 			{"attr-step", `//incategory/@category`},
 			{"flwor-where", `for $a in //open_auction where $a/initial > 50 return $a/current`},
 			{"flwor-ctor", `for $i in /site/regions//item return <i>{$i/name/text()}</i>`},
+			{"exists-not", `//item[payment][not(shipping)]/name`},
+			{"not-desc", `//item[not(.//keyword)]/name`},
+			{"contains-desc", `//item[contains(description//text, "a")]/name`},
+			{"count-pred", `//open_auction[count(bidder) > 3]/current`},
+			{"dos-tail", `count(/site/regions/descendant-or-self::node())`},
 		}
 	case "deep":
 		return []Query{

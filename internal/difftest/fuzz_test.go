@@ -16,9 +16,12 @@ var fuzzDB = xqp.FromStore(Store("bib", 1))
 
 // FuzzMatchEquivalence feeds arbitrary query text through every
 // execution configuration and demands agreement with the serial naive
-// reference. Inputs the reference cannot compile or evaluate are
-// skipped — the property under test is cross-strategy equivalence, not
-// parser robustness (FuzzParseQuery covers that). Seed corpus:
+// reference, then through every metamorphic toggle (rewrites, analyzer,
+// path fusion off) and demands agreement with the defaults: the
+// strategies all share one rewritten plan, so only the toggles see a
+// rewrite that changes an answer. Inputs the reference cannot compile
+// or evaluate are skipped — the property under test is equivalence,
+// not parser robustness (FuzzParseQuery covers that). Seed corpus:
 // testdata/fuzz/FuzzMatchEquivalence.
 func FuzzMatchEquivalence(f *testing.F) {
 	for _, q := range Queries("bib") {
@@ -27,6 +30,14 @@ func FuzzMatchEquivalence(f *testing.F) {
 	f.Add(`//book[price > 20]/author[last]/first`)
 	f.Add(`/bib//last`)
 	f.Add(`for $a in //author for $e in //editor return ($a/last, $e/last)`)
+	// Step predicates the pattern builder cannot capture, and trailing
+	// descendant-or-self steps no later vertex consumes.
+	f.Add(`//book[editor][not(author)]/title`)
+	f.Add(`//book[not(.//last)]/title`)
+	f.Add(`//book[contains(author//last, "1")]/title`)
+	f.Add(`//book[count(author) > 1]/title`)
+	f.Add(`count(//book/author/descendant-or-self::node())`)
+	f.Add(`//book[author//self::node() = "Last1"]/title`)
 	f.Fuzz(func(t *testing.T, src string) {
 		if !utf8.ValidString(src) || len(src) > 96 {
 			return
@@ -48,6 +59,9 @@ func FuzzMatchEquivalence(f *testing.F) {
 			return // not a runnable query; nothing to compare
 		}
 		if err := Check(fuzzDB, src); err != nil {
+			t.Fatal(err)
+		}
+		if err := CheckToggles(fuzzDB, src); err != nil {
 			t.Fatal(err)
 		}
 	})

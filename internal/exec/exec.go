@@ -162,8 +162,6 @@ type Engine struct {
 	resolve func(uri string) (*storage.Store, bool)
 	// Metrics accumulates counters; reset freely between measurements.
 	Metrics Metrics
-	// predPlans caches predicate AST translations.
-	predPlans map[ast.Expr]core.Op
 	// tr collects the execution trace when Options.Trace is set; reset
 	// at each top-level Eval.
 	tr *traceState
@@ -172,7 +170,7 @@ type Engine struct {
 // New returns an Engine whose default document is def (may be nil if all
 // queries use doc("uri")).
 func New(def *storage.Store, opts Options) *Engine {
-	e := &Engine{opts: opts, def: def, catalog: map[string]*storage.Store{}, predPlans: map[ast.Expr]core.Op{}}
+	e := &Engine{opts: opts, def: def, catalog: map[string]*storage.Store{}}
 	if def != nil && def.URI != "" {
 		e.catalog[def.URI] = def
 	}
@@ -760,7 +758,7 @@ func (e *Engine) evalPath(o *core.PathOp, ctx *Context) (value.Sequence, error) 
 	if err != nil {
 		return nil, err
 	}
-	for _, st := range o.Path.Steps {
+	for _, st := range o.Steps {
 		cur, err = e.evalStep(cur, st, ctx)
 		if err != nil {
 			return nil, err
@@ -771,7 +769,7 @@ func (e *Engine) evalPath(o *core.PathOp, ctx *Context) (value.Sequence, error) 
 
 // evalStep applies one location step (axis, test, predicates) to every
 // context node, respecting positional predicate semantics.
-func (e *Engine) evalStep(input value.Sequence, st ast.Step, ctx *Context) (value.Sequence, error) {
+func (e *Engine) evalStep(input value.Sequence, st core.Step, ctx *Context) (value.Sequence, error) {
 	e.Metrics.StepCalls++
 	if st.Axis == ast.AxisSelf && st.Test.Kind == ast.TestNode {
 		// A bare filter step (E[pred] / .[pred]): predicates apply
@@ -836,16 +834,7 @@ func reverse(s value.Sequence) {
 // filterPredicate applies one predicate over a candidate list with
 // position()/last() semantics; numeric predicate values select by
 // position.
-func (e *Engine) filterPredicate(cands value.Sequence, pred ast.Expr, ctx *Context) (value.Sequence, error) {
-	plan, ok := e.predPlans[pred]
-	if !ok {
-		var err error
-		plan, err = core.Translate(pred)
-		if err != nil {
-			return nil, err
-		}
-		e.predPlans[pred] = plan
-	}
+func (e *Engine) filterPredicate(cands value.Sequence, pred core.Op, ctx *Context) (value.Sequence, error) {
 	var out value.Sequence
 	for i, it := range cands {
 		e.Metrics.PredEvals++
@@ -853,7 +842,7 @@ func (e *Engine) filterPredicate(cands value.Sequence, pred ast.Expr, ctx *Conte
 		sub.Item = it
 		sub.Pos = i + 1
 		sub.Size = len(cands)
-		v, err := e.Eval(plan, &sub)
+		v, err := e.Eval(pred, &sub)
 		if err != nil {
 			return nil, err
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 
+	"xqp/internal/core"
 	"xqp/internal/join"
 	"xqp/internal/nok"
 	"xqp/internal/storage"
@@ -47,7 +48,7 @@ func E19Batched(scales []int) *Table {
 	for _, scale := range scales {
 		st := xmark.StoreAuction(scale)
 		for _, q := range batchedQueries {
-			g := MustGraph(q)
+			g := core.MustPattern(q)
 			root := []storage.NodeRef{st.Root()}
 
 			serialN := MatchNoK(st, g)

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"xqp/internal/core"
 )
 
 func TestTableFormat(t *testing.T) {
@@ -88,8 +89,8 @@ func TestExperimentsSmoke(t *testing.T) {
 func TestMustGraphPanicsOnBadInput(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("MustGraph on invalid input did not panic")
+			t.Fatal("MustPattern on invalid input did not panic")
 		}
 	}()
-	MustGraph("for $x in")
+	core.MustPattern("for $x in")
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 
+	"xqp/internal/core"
 	"xqp/internal/join"
 	"xqp/internal/nok"
 	"xqp/internal/storage"
@@ -45,7 +46,7 @@ func E17Parallel(scales []int, workers int) *Table {
 	for _, scale := range scales {
 		st := xmark.StoreAuction(scale)
 		for _, q := range parallelQueries {
-			g := MustGraph(q)
+			g := core.MustPattern(q)
 			root := []storage.NodeRef{st.Root()}
 
 			serialNoK := func() int {

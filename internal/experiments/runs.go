@@ -23,19 +23,6 @@ import (
 	"xqp/internal/xmldoc"
 )
 
-// MustGraph compiles a path expression string into a pattern graph.
-func MustGraph(src string) *pattern.Graph {
-	e, err := parser.Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	g, err := pattern.FromPath(e.(*ast.PathExpr))
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 // MatchNoK runs the NoK matcher from the document root.
 func MatchNoK(st *storage.Store, g *pattern.Graph) int {
 	refs, err := nok.MatchOutput(st, g, []storage.NodeRef{st.Root()})
@@ -103,7 +90,7 @@ func T1Operators() *Table {
 	t.AddRow("σv", "List → List", d, n)
 
 	d = timeIt(func() {
-		out, err := core.StructuralJoin(books, lasts, pattern.RelDescendant)
+		out, err := join.StructuralJoin(books, lasts, pattern.RelDescendant)
 		if err != nil {
 			panic(err)
 		}
@@ -129,9 +116,9 @@ func T1Operators() *Table {
 	})
 	t.AddRow("πs", "List → NestedList", d, n)
 
-	g := MustGraph("//book[price]/author/last")
+	g := core.MustPattern("//book[price]/author/last")
 	d = timeIt(func() {
-		nl, err := core.TPM(st, g, []storage.NodeRef{st.Root()})
+		nl, err := nok.MatchNested(st, g, []storage.NodeRef{st.Root()})
 		if err != nil {
 			panic(err)
 		}
@@ -195,7 +182,7 @@ func E2Scaling(scales []int) *Table {
 		Columns: []string{"scale", "elements", "results", "NoK", "TwigStack", "PathStack", "naive", "naive/NoK"}}
 	for _, s := range scales {
 		st := xmark.StoreAuction(s)
-		g := MustGraph("/site/regions/*/item/name")
+		g := core.MustPattern("/site/regions/*/item/name")
 		res := MatchNoK(st, g)
 		dNok := timeIt(func() { MatchNoK(st, g) })
 		dTwig := timeIt(func() { MatchTwig(st, g) })
@@ -227,7 +214,7 @@ func E3PathLength(maxSteps int) *Table {
 		// One section per chain matches at each depth: the result size
 		// stays constant while the number of joins grows with k.
 		q := "/doc" + strings.Repeat("/section", k)
-		g := MustGraph(q)
+		g := core.MustPattern(q)
 		res := MatchNoK(st, g)
 		dNok := timeIt(func() { MatchNoK(st, g) })
 		dPath := timeIt(func() { MatchPathStack(st, g) })
@@ -257,7 +244,7 @@ func E4Selectivity() *Table {
 		"//*",
 	}
 	for _, q := range queries {
-		g := MustGraph(q)
+		g := core.MustPattern(q)
 		est := model.Estimate(g)
 		frac := est.StreamTotal / float64(model.Synopsis().NodeCount())
 		dNok := timeIt(func() { MatchNoK(st, g) })
@@ -290,7 +277,7 @@ func E5Twig() *Table {
 	preds := []string{"[location]", "[quantity]", "[payment]", "[incategory]"}
 	for k := 0; k <= len(preds); k++ {
 		q := "//item" + strings.Join(preds[:k], "") + "/name"
-		g := MustGraph(q)
+		g := core.MustPattern(q)
 		res := MatchNoK(st, g)
 		dNok := timeIt(func() { MatchNoK(st, g) })
 		dTwig := timeIt(func() { MatchTwig(st, g) })
@@ -408,7 +395,7 @@ func E8Streaming(scale int) *Table {
 	t.AddRow("DOM then store", fmt.Sprintf("%.2f", mb), dDom, fmt.Sprintf("%.1f", mb/dDom.Seconds()))
 	// Streaming path evaluation: answer the query during the single pass,
 	// never materializing a store (Section 4.2's streaming claim).
-	g := MustGraph("//item/name")
+	g := core.MustPattern("//item/name")
 	dQuery := timeIt(func() {
 		if _, err := stream.Count(strings.NewReader(xml), g); err != nil {
 			panic(err)
@@ -431,7 +418,7 @@ func E9PageTouches(scale int) *Table {
 	st.SetPageSize(4096)
 	defer st.SetAccountant(nil)
 	for _, q := range []string{"//profile/interest", "//item/name", "/site/*/*"} {
-		g := MustGraph(q)
+		g := core.MustPattern(q)
 		acct.Reset()
 		MatchNoK(st, g)
 		t.AddRow(q, "NoK", acct.Pages(), acct.TouchCount())

@@ -93,7 +93,7 @@ func E13HybridStrategy() *Table {
 		"/site//person[profile/interest]",
 		"//listitem//parlist//text",
 	} {
-		g := MustGraph(q)
+		g := core.MustPattern(q)
 		p := g.Partition()
 		dNok := timeIt(func() { MatchNoK(st, g) })
 		dTwig := timeIt(func() { MatchTwig(st, g) })
@@ -235,7 +235,7 @@ func VerifyAll() error {
 		"//open_auction[bidder]//increase", "//listitem//text",
 	}
 	for _, q := range queries {
-		g := MustGraph(q)
+		g := core.MustPattern(q)
 		nok := MatchNoK(st, g)
 		if tw := MatchTwig(st, g); tw != nok {
 			return fmt.Errorf("%s: TwigStack %d != NoK %d", q, tw, nok)

@@ -7,8 +7,8 @@ import (
 	"testing/quick"
 
 	"xqp/internal/ast"
+	"xqp/internal/core"
 	"xqp/internal/naive"
-	"xqp/internal/parser"
 	"xqp/internal/pattern"
 	"xqp/internal/storage"
 )
@@ -21,11 +21,7 @@ const bibXML = `<bib>
 
 func graphOf(t testing.TB, src string) *pattern.Graph {
 	t.Helper()
-	e, err := parser.Parse(src)
-	if err != nil {
-		t.Fatalf("parse %q: %v", src, err)
-	}
-	g, err := pattern.FromPath(e.(*ast.PathExpr))
+	g, err := core.PatternOf(src)
 	if err != nil {
 		t.Fatalf("pattern %q: %v", src, err)
 	}
@@ -252,11 +248,7 @@ func TestStrategiesAgreeProperty(t *testing.T) {
 			return false
 		}
 		for _, q := range twigQueries {
-			e, err := parser.Parse(q)
-			if err != nil {
-				return false
-			}
-			g, err := pattern.FromPath(e.(*ast.PathExpr))
+			g, err := core.PatternOf(q)
 			if err != nil {
 				return false
 			}

@@ -2,9 +2,12 @@ package join
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 
 	"xqp/internal/pattern"
+	"xqp/internal/storage"
+	"xqp/internal/value"
 )
 
 // Pair is one structural-join result: an ancestor (or parent) and a
@@ -102,4 +105,61 @@ func PathJoin(streams []Stream, rels []pattern.Rel) Stream {
 		cur = StackTreeDescendants(cur, streams[i], rels[i-1])
 	}
 	return cur
+}
+
+// StructuralJoin is the algebra's ⋈s (Table 1) over node sequences: the
+// nodes of descs that stand in relation rel to some node of ancs, in
+// document order. Both lists must hold nodes of one store.
+func StructuralJoin(ancs, descs value.Sequence, rel pattern.Rel) (value.Sequence, error) {
+	return structuralJoin(ancs, descs, rel, StackTreeDescendants)
+}
+
+// StructuralSemiJoin returns the nodes of ancs that have at least one node
+// of descs below them in relation rel (existence predicates).
+func StructuralSemiJoin(ancs, descs value.Sequence, rel pattern.Rel) (value.Sequence, error) {
+	return structuralJoin(ancs, descs, rel, StackTreeAncestors)
+}
+
+func structuralJoin(ancs, descs value.Sequence, rel pattern.Rel, project func(a, d Stream, rel pattern.Rel) Stream) (value.Sequence, error) {
+	aStream, st, err := streamOf(ancs)
+	if err != nil {
+		return nil, err
+	}
+	dStream, st2, err := streamOf(descs)
+	if err != nil {
+		return nil, err
+	}
+	if st == nil || st2 == nil {
+		return nil, nil
+	}
+	if st != st2 {
+		return nil, &value.TypeError{Msg: "structural join across documents"}
+	}
+	out := project(aStream, dStream, rel)
+	res := make(value.Sequence, len(out))
+	for i, e := range out {
+		res[i] = value.Node{Store: st, Ref: e.Ref}
+	}
+	return res, nil
+}
+
+func streamOf(list value.Sequence) (Stream, *storage.Store, error) {
+	var st *storage.Store
+	var refs []storage.NodeRef
+	for _, it := range list {
+		n, ok := it.(value.Node)
+		if !ok {
+			return nil, nil, &value.TypeError{Msg: fmt.Sprintf("structural join over %s item", value.ItemKind(it))}
+		}
+		if st == nil {
+			st = n.Store
+		} else if st != n.Store {
+			return nil, nil, &value.TypeError{Msg: "structural join across documents"}
+		}
+		refs = append(refs, n.Ref)
+	}
+	if st == nil {
+		return nil, nil, nil
+	}
+	return ContextStream(st, refs), st, nil
 }

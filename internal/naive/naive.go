@@ -103,12 +103,30 @@ func MatchOutputCounted(st *storage.Store, g *pattern.Graph, contexts []storage.
 		}
 	}()
 	var out []storage.NodeRef
-	for n := storage.NodeRef(0); int(n) < st.NodeCount(); n++ {
-		if e.bind(n, g.Output) {
-			out = append(out, n)
+	scan := func(lo, hi storage.NodeRef) {
+		for n := lo; n < hi; n++ {
+			if e.bind(n, g.Output) {
+				out = append(out, n)
+			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	if g.Rooted {
+		scan(0, storage.NodeRef(st.NodeCount()))
+		return out, nil
+	}
+	// A relative pattern's matches lie in its contexts' subtrees: scan
+	// each outermost context's interval once, not the whole document per
+	// dispatch (a predicate path runs one dispatch per candidate).
+	sorted := append([]storage.NodeRef(nil), contexts...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	end := storage.NodeRef(0)
+	for _, c := range sorted {
+		if c < end {
+			continue
+		}
+		end = c + storage.NodeRef(st.SubtreeSize(c))
+		scan(c, end)
+	}
 	return out, nil
 }
 

@@ -3,19 +3,14 @@ package naive
 import (
 	"testing"
 
-	"xqp/internal/ast"
-	"xqp/internal/parser"
+	"xqp/internal/core"
 	"xqp/internal/pattern"
 	"xqp/internal/storage"
 )
 
 func graphOf(t testing.TB, src string) *pattern.Graph {
 	t.Helper()
-	e, err := parser.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := pattern.FromPath(e.(*ast.PathExpr))
+	g, err := core.PatternOf(src)
 	if err != nil {
 		t.Fatal(err)
 	}

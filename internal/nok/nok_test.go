@@ -6,9 +6,9 @@ import (
 	"testing/quick"
 
 	"xqp/internal/ast"
+	"xqp/internal/core"
 	"xqp/internal/join"
 	"xqp/internal/naive"
-	"xqp/internal/parser"
 	"xqp/internal/pattern"
 	"xqp/internal/storage"
 	"xqp/internal/xmark"
@@ -22,11 +22,7 @@ const bibXML = `<bib>
 
 func graphOf(t testing.TB, src string) *pattern.Graph {
 	t.Helper()
-	e, err := parser.Parse(src)
-	if err != nil {
-		t.Fatalf("parse %q: %v", src, err)
-	}
-	g, err := pattern.FromPath(e.(*ast.PathExpr))
+	g, err := core.PatternOf(src)
 	if err != nil {
 		t.Fatalf("pattern %q: %v", src, err)
 	}
@@ -210,11 +206,7 @@ func TestNoKAgreesWithBaselinesProperty(t *testing.T) {
 		}
 		root := []storage.NodeRef{st.Root()}
 		for _, q := range nokQueries {
-			e, err := parser.Parse(q)
-			if err != nil {
-				return false
-			}
-			g, err := pattern.FromPath(e.(*ast.PathExpr))
+			g, err := core.PatternOf(q)
 			if err != nil {
 				return false
 			}
@@ -255,11 +247,7 @@ func TestRelativeContextsProperty(t *testing.T) {
 			}
 		}
 		for _, q := range []string{"b", "b/c", "b//c", ".//b"} {
-			e, err := parser.Parse(q)
-			if err != nil {
-				return false
-			}
-			g, err := pattern.FromPath(e.(*ast.PathExpr))
+			g, err := core.PatternOf(q)
 			if err != nil {
 				return false
 			}

@@ -504,28 +504,6 @@ func TestStringRendersParseable(t *testing.T) {
 	}
 }
 
-func TestFreeVars(t *testing.T) {
-	e := parseOK(t, "for $b in /bib/book[$min < price] return ($b/title, $x)")
-	fv := ast.FreeVars(e)
-	if len(fv) != 2 || fv[0] != "min" || fv[1] != "x" {
-		t.Fatalf("FreeVars = %v", fv)
-	}
-	e2 := parseOK(t, "some $y in $in satisfies $y = $z")
-	fv2 := ast.FreeVars(e2)
-	if len(fv2) != 2 || fv2[0] != "in" || fv2[1] != "z" {
-		t.Fatalf("FreeVars = %v", fv2)
-	}
-}
-
-func TestWalkVisitsAll(t *testing.T) {
-	e := parseOK(t, `for $b in /bib/book where $b/price > 3 return <r>{$b/title}</r>`)
-	count := 0
-	ast.Walk(e, func(x ast.Expr) bool { count++; return true })
-	if count < 8 {
-		t.Fatalf("Walk visited only %d nodes", count)
-	}
-}
-
 func BenchmarkParseFLWOR(b *testing.B) {
 	src := `for $b in doc("bib.xml")/bib/book
 	        let $t := $b/title

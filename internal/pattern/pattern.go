@@ -1,5 +1,6 @@
 // Package pattern implements the paper's PatternGraph sort (Definition 1):
-// a labeled tree-shaped pattern extracted from path expressions, with
+// a labeled tree-shaped pattern extracted from path expressions (package
+// core builds it from translated paths and their predicate plans), with
 // parent-child and ancestor-descendant arcs, per-vertex value predicates,
 // and marked output vertices. It also implements the NoK (next-of-kin)
 // partitioning of Section 4.2: splitting a pattern into fragments that
@@ -226,255 +227,4 @@ func (g *Graph) String() string {
 		walk(e.To, e.Rel.String(), 1)
 	}
 	return b.String()
-}
-
-// NotExpressibleError reports that an expression cannot be captured by a
-// pattern graph and must be evaluated by the general executor.
-type NotExpressibleError struct{ Reason string }
-
-func (e *NotExpressibleError) Error() string {
-	return "pattern: not expressible: " + e.Reason
-}
-
-func notExpr(format string, args ...any) error {
-	return &NotExpressibleError{Reason: fmt.Sprintf(format, args...)}
-}
-
-// FromPath compiles a path expression into a pattern graph. The path must
-// use only downward axes (child, descendant, descendant-or-self,
-// attribute, self) and predicates expressible as pattern subtrees with
-// optional literal comparisons. Paths with a Base expression, reverse
-// axes, positional predicates, or complex predicate logic return a
-// NotExpressibleError; such queries run through the step-by-step executor
-// instead (the paper's approach: τ covers the common fragment).
-func FromPath(pe *ast.PathExpr) (*Graph, error) {
-	if pe.Base != nil {
-		// A "."-based path (e.g. .//b) is an ordinary relative path.
-		if _, ok := pe.Base.(*ast.ContextItem); !ok {
-			return nil, notExpr("path has a non-step base expression")
-		}
-	}
-	g := NewGraph(pe.Rooted)
-	cur := VertexID(0)
-	rel := RelChild
-	for i, st := range pe.Steps {
-		switch st.Axis {
-		case ast.AxisDescendantOrSelf:
-			if st.Test.Kind == ast.TestNode && len(st.Preds) == 0 {
-				// The "//" abbreviation: strengthen the next edge.
-				rel = RelDescendant
-				continue
-			}
-			return nil, notExpr("descendant-or-self with a non-trivial test")
-		case ast.AxisChild:
-			// rel stays as set (child, or descendant from a prior //).
-		case ast.AxisDescendant:
-			rel = RelDescendant
-		case ast.AxisAttribute:
-			// fallthrough to vertex creation with Attribute set
-		case ast.AxisSelf:
-			// self::node() with predicates: attach preds to current vertex.
-			if st.Test.Kind == ast.TestNode {
-				if err := attachPreds(g, cur, st.Preds); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			return nil, notExpr("self axis with a name test")
-		default:
-			return nil, notExpr("axis %s", st.Axis)
-		}
-		v := Vertex{Test: st.Test, Attribute: st.Axis == ast.AxisAttribute}
-		id := g.AddVertex(cur, rel, v)
-		if err := attachPreds(g, id, st.Preds); err != nil {
-			return nil, err
-		}
-		cur = id
-		rel = RelChild
-		_ = i
-	}
-	if cur == 0 {
-		return nil, notExpr("path has no steps")
-	}
-	g.Vertices[cur].Output = true
-	g.Output = cur
-	return g, nil
-}
-
-// AttachPredicate grafts a predicate expression onto vertex v: existence
-// paths become pattern subtrees, literal comparisons become value
-// predicates. It returns a NotExpressibleError when the predicate cannot
-// be captured; the graph is left unchanged in that case only if the
-// predicate failed before any vertex was added, so callers should treat an
-// error as "rebuild the pattern". Used by the logical rewriter to push
-// where-clauses into τ patterns.
-func AttachPredicate(g *Graph, v VertexID, pred ast.Expr) error {
-	return attachPred(g, v, pred)
-}
-
-// attachPreds expands step predicates below vertex v.
-func attachPreds(g *Graph, v VertexID, preds []ast.Expr) error {
-	for _, p := range preds {
-		if err := attachPred(g, v, p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func attachPred(g *Graph, v VertexID, pred ast.Expr) error {
-	switch p := pred.(type) {
-	case *ast.PathExpr:
-		// Existence predicate: [a/b], [@id], [.//c]
-		_, err := expandPredPath(g, v, p)
-		return err
-	case *ast.Binary:
-		if p.Op == ast.OpAnd {
-			if err := attachPred(g, v, p.L); err != nil {
-				return err
-			}
-			return attachPred(g, v, p.R)
-		}
-		if !p.Op.Comparison() {
-			return notExpr("predicate operator %s", p.Op)
-		}
-		// path cmp literal | literal cmp path | . cmp literal
-		pathSide, litSide := p.L, p.R
-		op := cmpOpOf(p.Op)
-		if isLiteral(p.L) && !isLiteral(p.R) {
-			pathSide, litSide = p.R, p.L
-			op = flip(op)
-		}
-		lit, ok := literalItem(litSide)
-		if !ok {
-			return notExpr("comparison against a non-literal")
-		}
-		switch ps := pathSide.(type) {
-		case *ast.ContextItem:
-			g.Vertices[v].Preds = append(g.Vertices[v].Preds, ValuePred{Op: op, Lit: lit})
-			return nil
-		case *ast.PathExpr:
-			leaf, err := expandPredPath(g, v, ps)
-			if err != nil {
-				return err
-			}
-			g.Vertices[leaf].Preds = append(g.Vertices[leaf].Preds, ValuePred{Op: op, Lit: lit})
-			return nil
-		default:
-			return notExpr("comparison over %T", pathSide)
-		}
-	default:
-		return notExpr("predicate %T", pred)
-	}
-}
-
-// expandPredPath adds the predicate path as a (non-output) subtree under v
-// and returns its final vertex.
-func expandPredPath(g *Graph, v VertexID, pe *ast.PathExpr) (VertexID, error) {
-	if pe.Rooted {
-		return 0, notExpr("predicate path is not relative")
-	}
-	if pe.Base != nil {
-		// A "."-based path (e.g. .//b) is still relative to the vertex.
-		if _, ok := pe.Base.(*ast.ContextItem); !ok {
-			return 0, notExpr("predicate path is not relative")
-		}
-	}
-	cur := v
-	rel := RelChild
-	for _, st := range pe.Steps {
-		switch st.Axis {
-		case ast.AxisDescendantOrSelf:
-			if st.Test.Kind == ast.TestNode && len(st.Preds) == 0 {
-				rel = RelDescendant
-				continue
-			}
-			return 0, notExpr("descendant-or-self in predicate")
-		case ast.AxisChild:
-		case ast.AxisDescendant:
-			rel = RelDescendant
-		case ast.AxisAttribute:
-		case ast.AxisSelf:
-			if st.Test.Kind == ast.TestNode {
-				if err := attachPreds(g, cur, st.Preds); err != nil {
-					return 0, err
-				}
-				continue
-			}
-			return 0, notExpr("self axis in predicate")
-		default:
-			return 0, notExpr("axis %s in predicate", st.Axis)
-		}
-		id := g.AddVertex(cur, rel, Vertex{Test: st.Test, Attribute: st.Axis == ast.AxisAttribute})
-		if err := attachPreds(g, id, st.Preds); err != nil {
-			return 0, err
-		}
-		cur = id
-		rel = RelChild
-	}
-	if cur == v {
-		return 0, notExpr("empty predicate path")
-	}
-	return cur, nil
-}
-
-func isLiteral(e ast.Expr) bool {
-	switch e.(type) {
-	case *ast.StringLit, *ast.NumberLit:
-		return true
-	}
-	return false
-}
-
-func literalItem(e ast.Expr) (value.Item, bool) {
-	switch l := e.(type) {
-	case *ast.StringLit:
-		return value.Str(l.Val), true
-	case *ast.NumberLit:
-		if l.IsInt {
-			return value.Int(l.Int), true
-		}
-		return value.Dbl(l.Val), true
-	}
-	return nil, false
-}
-
-func cmpOpOf(op ast.BinOp) value.CmpOp {
-	switch op {
-	case ast.OpEq:
-		return value.CmpEq
-	case ast.OpNe:
-		return value.CmpNe
-	case ast.OpLt:
-		return value.CmpLt
-	case ast.OpLe:
-		return value.CmpLe
-	case ast.OpGt:
-		return value.CmpGt
-	}
-	return value.CmpGe
-}
-
-func flip(op value.CmpOp) value.CmpOp {
-	switch op {
-	case value.CmpLt:
-		return value.CmpGt
-	case value.CmpLe:
-		return value.CmpGe
-	case value.CmpGt:
-		return value.CmpLt
-	case value.CmpGe:
-		return value.CmpLe
-	}
-	return op // = and != are symmetric
-}
-
-// MustFromPath compiles src (a path expression string, already parsed) and
-// panics on failure; for tests and examples.
-func MustFromPath(pe *ast.PathExpr) *Graph {
-	g, err := FromPath(pe)
-	if err != nil {
-		panic(err)
-	}
-	return g
 }

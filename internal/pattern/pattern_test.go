@@ -1,32 +1,23 @@
-package pattern
+package pattern_test
+
+// The graphs under test come from the pattern builder (package core),
+// which reads translated paths; this package holds only the sort.
 
 import (
 	"strings"
 	"testing"
 
 	"xqp/internal/ast"
-	"xqp/internal/parser"
+	"xqp/internal/core"
+	. "xqp/internal/pattern"
 	"xqp/internal/value"
 )
 
-func pathExpr(t *testing.T, src string) *ast.PathExpr {
-	t.Helper()
-	e, err := parser.Parse(src)
-	if err != nil {
-		t.Fatalf("parse %q: %v", src, err)
-	}
-	pe, ok := e.(*ast.PathExpr)
-	if !ok {
-		t.Fatalf("%q parsed to %T, want *ast.PathExpr", src, e)
-	}
-	return pe
-}
-
 func graphOf(t *testing.T, src string) *Graph {
 	t.Helper()
-	g, err := FromPath(pathExpr(t, src))
+	g, err := core.PatternOf(src)
 	if err != nil {
-		t.Fatalf("FromPath(%q): %v", src, err)
+		t.Fatalf("PatternOf(%q): %v", src, err)
 	}
 	return g
 }
@@ -170,12 +161,17 @@ func TestNotExpressible(t *testing.T) {
 		"/a[b or c]",              // disjunction
 		"$v/a",                    // base expression
 		"/a/following-sibling::b", // sibling axis
+		// descendant-or-self::node() with no later vertex to take the edge
+		"/a/descendant-or-self::node()",
+		"/a[b/descendant-or-self::node() = 1]",
+		"/a[b//self::node() = 1]",
+		"/a/descendant-or-self::node()/self::node()[@x]",
 	}
 	for _, src := range cases {
-		if _, err := FromPath(pathExpr(t, src)); err == nil {
-			t.Errorf("FromPath(%q) succeeded, want NotExpressibleError", src)
-		} else if _, ok := err.(*NotExpressibleError); !ok {
-			t.Errorf("FromPath(%q) error = %T", src, err)
+		if _, err := core.PatternOf(src); err == nil {
+			t.Errorf("PatternOf(%q) succeeded, want NotExpressibleError", src)
+		} else if _, ok := err.(*core.NotExpressibleError); !ok {
+			t.Errorf("PatternOf(%q) error = %T", src, err)
 		}
 	}
 }
@@ -290,7 +286,7 @@ func TestGraft(t *testing.T) {
 func TestGraftAnchorPreds(t *testing.T) {
 	base := graphOf(t, "/a/b")
 	// A sub-pattern whose output is its own anchor, carrying a value
-	// predicate (built directly: FromPath rejects step-less paths).
+	// predicate (built directly: the builder rejects step-less paths).
 	sub := NewGraph(false)
 	sub.Vertices[0].Preds = append(sub.Vertices[0].Preds, ValuePred{Op: value.CmpEq, Lit: value.Str("x")})
 	leaf := base.Graft(base.Output, sub)

@@ -1,4 +1,4 @@
-package pattern
+package pattern_test
 
 import (
 	"testing"

@@ -5,10 +5,14 @@
 //     the path is expressible as a pattern graph, eliminating the
 //     structural joins a join-based plan would need — the paper's central
 //     optimization (a single TPM operator evaluates the whole list
-//     comprehension in one scan);
+//     comprehension in one scan). The pattern builder (core.BuildPattern)
+//     reads the steps' predicate plans as translated; the predicates of
+//     steps that stay πs are rewritten like any other subplan, so their
+//     relative paths fuse into τ anchored at the context item;
 //   - predicate pushdown: where-clauses of FLWOR expressions that compare
 //     a path from a for-variable against a literal (or test existence)
-//     are folded into the variable's pattern graph as value predicates;
+//     are folded into the variable's pattern graph as value predicates,
+//     by the same builder (core.AttachPredicate);
 //   - constant folding over arithmetic, comparisons and conditionals;
 //   - dead-let elimination.
 //
@@ -19,7 +23,6 @@ import (
 	"xqp/internal/analyze"
 	"xqp/internal/ast"
 	"xqp/internal/core"
-	"xqp/internal/pattern"
 	"xqp/internal/value"
 )
 
@@ -187,40 +190,55 @@ func (r *rewriter) foldCompare(o *core.CompareOp) core.Op {
 }
 
 // rewritePath fuses a πs-chain into a τ operator, falling back to fusing
-// the longest expressible prefix.
+// the longest expressible prefix. Fusion reads the predicate plans as
+// translated; only the predicates of steps that stay πs are rewritten
+// in turn (where their own relative paths may fuse).
 func (r *rewriter) rewritePath(o *core.PathOp) core.Op {
 	input := r.rewrite(o.Input)
 	if !r.opts.PathFusion {
-		return &core.PathOp{Input: input, Path: o.Path}
+		return &core.PathOp{Input: input, Rooted: o.Rooted, Steps: r.rewriteSteps(o.Steps)}
 	}
 	// A relative single child/attribute step with no predicates is
 	// already a single navigation; the τ machinery would only add
 	// overhead. Leave it as a πs step.
-	if !o.Path.Rooted && len(o.Path.Steps) == 1 {
-		st := o.Path.Steps[0]
+	if !o.Rooted && len(o.Steps) == 1 {
+		st := o.Steps[0]
 		if (st.Axis == ast.AxisChild || st.Axis == ast.AxisAttribute) && len(st.Preds) == 0 {
-			return &core.PathOp{Input: input, Path: o.Path}
+			return &core.PathOp{Input: input, Steps: o.Steps}
 		}
 	}
-	if g, err := pattern.FromPath(o.Path); err == nil {
+	if g, err := core.BuildPattern(o.Rooted, o.Steps); err == nil {
 		r.stats.PathsFused++
 		return &core.TPMOp{Input: input, Graph: g}
 	}
 	// Longest expressible prefix: trailing steps remain a PathOp.
-	for cut := len(o.Path.Steps) - 1; cut >= 1; cut-- {
-		prefix := &ast.PathExpr{Rooted: o.Path.Rooted, Steps: o.Path.Steps[:cut]}
-		g, err := pattern.FromPath(prefix)
+	for cut := len(o.Steps) - 1; cut >= 1; cut-- {
+		g, err := core.BuildPattern(o.Rooted, o.Steps[:cut])
 		if err != nil {
 			continue
 		}
 		r.stats.PartialFusions++
-		rest := &ast.PathExpr{Steps: o.Path.Steps[cut:]}
 		return &core.PathOp{
 			Input: &core.TPMOp{Input: input, Graph: g},
-			Path:  rest,
+			Steps: r.rewriteSteps(o.Steps[cut:]),
 		}
 	}
-	return &core.PathOp{Input: input, Path: o.Path}
+	return &core.PathOp{Input: input, Rooted: o.Rooted, Steps: r.rewriteSteps(o.Steps)}
+}
+
+// rewriteSteps rewrites the predicate plans of steps that stay πs.
+func (r *rewriter) rewriteSteps(steps []core.Step) []core.Step {
+	out := make([]core.Step, len(steps))
+	for i, st := range steps {
+		out[i] = st
+		if len(st.Preds) > 0 {
+			out[i].Preds = make([]core.Op, len(st.Preds))
+			for j, p := range st.Preds {
+				out[i].Preds[j] = r.rewrite(p)
+			}
+		}
+	}
+	return out
 }
 
 // rewriteFLWOR rewrites clause bodies, then pushes expressible where
@@ -278,167 +296,58 @@ func (r *rewriter) pushWhere(f *core.FLWOROp) core.Op {
 }
 
 // tryPush attempts to fold one conjunct into the τ pattern of the
-// for-clause binding its variable. Supported shapes:
+// for-clause binding its variable. Supported shapes, where path is a
+// πs-chain or a relative τ over $v:
 //
-//	compare(PathOp($v ...), const-literal)  and the mirrored form
-//	PathOp($v ...) used as an existence test
+//	compare(path, const-literal)  and the mirrored form
+//	path used as an existence test
 func (r *rewriter) tryPush(f *core.FLWOROp, conj core.Op) bool {
-	switch c := conj.(type) {
-	case *core.CompareOp:
-		if p, lit, op, ok := pathCmpLit(c); ok {
-			return r.pushPred(f, p, predExprFromCmp(op, p, lit))
-		}
-		// Path fusion may have turned the path side into a τ already.
-		if t, lit, op, ok := tpmCmpLit(c); ok {
-			return r.pushTPM(f, t, &pattern.ValuePred{Op: op, Lit: lit})
-		}
-	case *core.PathOp:
-		// Existence predicate: where $b/author
-		if varOfPath(c) != "" {
-			return r.pushPred(f, c, &ast.PathExpr{Steps: c.Path.Steps})
-		}
-	case *core.TPMOp:
-		// Fused existence predicate: where $b/author
-		if varOfTPM(c) != "" {
-			return r.pushTPM(f, c, nil)
-		}
-	}
-	return false
-}
-
-// tpmCmpLit recognizes compare(TPMOp($v, g), Const) in either order.
-func tpmCmpLit(c *core.CompareOp) (*core.TPMOp, value.Item, value.CmpOp, bool) {
-	if t, ok := c.L.(*core.TPMOp); ok && varOfTPM(t) != "" {
-		if k, ok := constLiteral(c.R); ok {
-			return t, k, c.Op, true
-		}
-	}
-	if t, ok := c.R.(*core.TPMOp); ok && varOfTPM(t) != "" {
-		if k, ok := constLiteral(c.L); ok {
-			return t, k, flipCmp(c.Op), true
-		}
-	}
-	return nil, nil, 0, false
-}
-
-// varOfTPM returns the variable a relative τ is anchored at, or "".
-func varOfTPM(t *core.TPMOp) string {
-	if t.Graph.Rooted {
-		return ""
-	}
-	v, ok := t.Input.(*core.VarOp)
-	if !ok {
-		return ""
-	}
-	return v.Name
-}
-
-// pushTPM grafts a relative τ sub-pattern (and an optional value
-// predicate on its output vertex) into the clause pattern binding its
-// variable.
-func (r *rewriter) pushTPM(f *core.FLWOROp, t *core.TPMOp, vp *pattern.ValuePred) bool {
-	varName := varOfTPM(t)
-	for i, c := range f.Clauses {
-		if c.Var != varName || c.Kind != core.BindFor {
-			continue
-		}
-		tpm, ok := c.Expr.(*core.TPMOp)
-		if !ok {
+	path := conj
+	if c, ok := conj.(*core.CompareOp); ok {
+		switch {
+		case isConst(c.R):
+			path = c.L
+		case isConst(c.L):
+			path = c.R
+		default:
 			return false
 		}
-		for _, later := range f.Clauses[i+1:] {
-			if later.Var == varName {
-				return false
-			}
+	}
+	v := varOf(path)
+	return v != "" && r.pushPred(f, v, conj)
+}
+
+func isConst(op core.Op) bool {
+	_, ok := op.(*core.ConstOp)
+	return ok
+}
+
+// varOf returns the variable a relative πs-chain or τ navigates from, or
+// "" for any other operator.
+func varOf(op core.Op) string {
+	var in core.Op
+	switch p := op.(type) {
+	case *core.PathOp:
+		if p.Rooted {
+			return ""
 		}
-		g := tpm.Graph.Clone()
-		leaf := g.Graft(g.Output, t.Graph)
-		if vp != nil {
-			target := leaf
-			if target < 0 {
-				target = g.Output
-			}
-			g.Vertices[target].Preds = append(g.Vertices[target].Preds, *vp)
+		in = p.Input
+	case *core.TPMOp:
+		if p.Graph.Rooted {
+			return ""
 		}
-		f.Clauses[i].Expr = &core.TPMOp{Input: tpm.Input, Graph: g}
-		return true
+		in = p.Input
 	}
-	return false
+	if v, ok := in.(*core.VarOp); ok {
+		return v.Name
+	}
+	return ""
 }
 
-// pathCmpLit recognizes compare(PathOp($v...), Const) in either order.
-func pathCmpLit(c *core.CompareOp) (*core.PathOp, value.Item, value.CmpOp, bool) {
-	if p, ok := c.L.(*core.PathOp); ok && varOfPath(p) != "" {
-		if k, ok := constLiteral(c.R); ok {
-			return p, k, c.Op, true
-		}
-	}
-	if p, ok := c.R.(*core.PathOp); ok && varOfPath(p) != "" {
-		if k, ok := constLiteral(c.L); ok {
-			return p, k, flipCmp(c.Op), true
-		}
-	}
-	return nil, nil, 0, false
-}
-
-func flipCmp(op value.CmpOp) value.CmpOp {
-	switch op {
-	case value.CmpLt:
-		return value.CmpGt
-	case value.CmpLe:
-		return value.CmpGe
-	case value.CmpGt:
-		return value.CmpLt
-	case value.CmpGe:
-		return value.CmpLe
-	}
-	return op
-}
-
-func constLiteral(op core.Op) (value.Item, bool) {
-	c, ok := op.(*core.ConstOp)
-	if !ok || len(c.Seq) != 1 {
-		return nil, false
-	}
-	return c.Seq[0], true
-}
-
-// varOfPath returns the variable name a PathOp navigates from ("" when
-// the input is not a VarOp or the path is rooted).
-func varOfPath(p *core.PathOp) string {
-	if p.Path.Rooted {
-		return ""
-	}
-	v, ok := p.Input.(*core.VarOp)
-	if !ok {
-		return ""
-	}
-	return v.Name
-}
-
-// predExprFromCmp builds the AST predicate "steps op literal" for
-// pattern.AttachPredicate.
-func predExprFromCmp(op value.CmpOp, p *core.PathOp, lit value.Item) ast.Expr {
-	var litExpr ast.Expr
-	switch l := lit.(type) {
-	case value.Int:
-		litExpr = &ast.NumberLit{Val: float64(l), IsInt: true, Int: int64(l)}
-	case value.Dbl:
-		litExpr = &ast.NumberLit{Val: float64(l)}
-	default:
-		litExpr = &ast.StringLit{Val: lit.String()}
-	}
-	astOps := map[value.CmpOp]ast.BinOp{
-		value.CmpEq: ast.OpEq, value.CmpNe: ast.OpNe, value.CmpLt: ast.OpLt,
-		value.CmpLe: ast.OpLe, value.CmpGt: ast.OpGt, value.CmpGe: ast.OpGe,
-	}
-	return &ast.Binary{Op: astOps[op], L: &ast.PathExpr{Steps: p.Path.Steps}, R: litExpr}
-}
-
-// pushPred grafts pred onto the τ pattern of the for-clause binding the
-// path's variable.
-func (r *rewriter) pushPred(f *core.FLWOROp, p *core.PathOp, pred ast.Expr) bool {
-	varName := varOfPath(p)
+// pushPred grafts the conjunct onto the τ pattern of the for-clause
+// binding varName, through the pattern builder with $varName as the
+// anchor.
+func (r *rewriter) pushPred(f *core.FLWOROp, varName string, conj core.Op) bool {
 	for i, c := range f.Clauses {
 		if c.Var != varName || c.Kind != core.BindFor {
 			continue
@@ -454,7 +363,11 @@ func (r *rewriter) pushPred(f *core.FLWOROp, p *core.PathOp, pred ast.Expr) bool
 			}
 		}
 		g := tpm.Graph.Clone()
-		if err := pattern.AttachPredicate(g, g.Output, pred); err != nil {
+		isVar := func(op core.Op) bool {
+			v, ok := op.(*core.VarOp)
+			return ok && v.Name == varName
+		}
+		if err := core.AttachPredicate(g, g.Output, conj, isVar); err != nil {
 			return false
 		}
 		f.Clauses[i].Expr = &core.TPMOp{Input: tpm.Input, Graph: g}
@@ -473,16 +386,6 @@ func (r *rewriter) eliminateLets(f *core.FLWOROp) {
 		core.Walk(op, func(o core.Op) bool {
 			if v, ok := o.(*core.VarOp); ok {
 				used[v.Name] = true
-			}
-			// Predicate ASTs inside PathOps reference variables too.
-			if p, ok := o.(*core.PathOp); ok {
-				for _, st := range p.Path.Steps {
-					for _, pr := range st.Preds {
-						for _, name := range ast.FreeVars(pr) {
-							used[name] = true
-						}
-					}
-				}
 			}
 			return true
 		})

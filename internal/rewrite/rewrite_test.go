@@ -69,6 +69,33 @@ func TestPositionalPredicateNotFused(t *testing.T) {
 	}
 }
 
+// TestPredicatePathsFuse: a step whose predicate the pattern builder
+// cannot capture stays πs (behind the fused prefix /bib), and the
+// rewriter recurses into its predicates, where a relative path fuses
+// into τ anchored at the context item and constants fold.
+func TestPredicatePathsFuse(t *testing.T) {
+	out, stats := Rewrite(plan(t, `/bib/book[not(.//last)][price > 10 + 5]/title`), All())
+	path, ok := out.(*core.PathOp)
+	if !ok || len(path.Steps) != 2 || stats.PartialFusions != 1 {
+		t.Fatalf("want /bib fused and book[…]/title kept πs:\n%s", core.Explain(out))
+	}
+	preds := path.Steps[0].Preds
+	inner := core.Count(preds[0], func(o core.Op) bool {
+		tpm, ok := o.(*core.TPMOp)
+		if !ok {
+			return false
+		}
+		_, ctx := tpm.Input.(*core.ContextOp)
+		return ctx && !tpm.Graph.Rooted
+	})
+	if inner != 1 || stats.PathsFused != 1 {
+		t.Fatalf("predicate path .//last not fused (fused %d):\n%s", stats.PathsFused, core.Explain(out))
+	}
+	if c, ok := preds[1].(*core.CompareOp); !ok || !isConst(c.R) {
+		t.Fatalf("10 + 5 not folded inside the predicate:\n%s", core.Explain(out))
+	}
+}
+
 func TestPredicatePushdownComparison(t *testing.T) {
 	p := plan(t, `for $b in /bib/book where $b/price < 50 return $b/title`)
 	out, stats := Rewrite(p, All())

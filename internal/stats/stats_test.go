@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"xqp/internal/ast"
+	"xqp/internal/core"
 	"xqp/internal/naive"
-	"xqp/internal/parser"
 	"xqp/internal/pattern"
 	"xqp/internal/storage"
 	"xqp/internal/xmark"
@@ -15,11 +15,7 @@ import (
 
 func graphOf(t testing.TB, src string) *pattern.Graph {
 	t.Helper()
-	e, err := parser.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := pattern.FromPath(e.(*ast.PathExpr))
+	g, err := core.PatternOf(src)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,20 +6,15 @@ import (
 	"testing"
 	"testing/quick"
 
-	"xqp/internal/ast"
+	"xqp/internal/core"
 	"xqp/internal/naive"
-	"xqp/internal/parser"
 	"xqp/internal/pattern"
 	"xqp/internal/storage"
 )
 
 func graphOf(t testing.TB, src string) *pattern.Graph {
 	t.Helper()
-	e, err := parser.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := pattern.FromPath(e.(*ast.PathExpr))
+	g, err := core.PatternOf(src)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -224,6 +224,11 @@ func (o CmpOp) String() string {
 	return [...]string{"=", "!=", "<", "<=", ">", ">="}[o]
 }
 
+// Flip returns the operator with its operands swapped: a < b is b > a.
+func (o CmpOp) Flip() CmpOp {
+	return [...]CmpOp{CmpEq, CmpNe, CmpGt, CmpGe, CmpLt, CmpLe}[o]
+}
+
 // CompareGeneral implements XQuery general comparison: true iff some pair
 // of atomized items from l and r satisfies the operator.
 func CompareGeneral(op CmpOp, l, r Sequence) (bool, error) {
